@@ -94,6 +94,18 @@ class ParameterVector:
     def zeros_like(self) -> Array:
         return np.zeros_like(self.values)
 
+    def zeros_same_layout(self) -> "ParameterVector":
+        """A fresh all-zero vector sharing this vector's validated layout.
+
+        Skips the layout check of the constructor; the backward pass builds
+        one of these per call.
+        """
+        twin = ParameterVector.__new__(ParameterVector)
+        twin.values = np.zeros_like(self.values)
+        twin.layout = self.layout
+        twin._index = self._index
+        return twin
+
     def names(self):
         return [name for name, _, _ in self.layout]
 
@@ -106,7 +118,12 @@ class ParameterVector:
 
 
 class Layer:
-    """One kernel in a sequential graph. Subclasses cache what backward needs."""
+    """One kernel in a sequential graph. Subclasses cache what backward needs.
+
+    ``forward(params, x, record=False)`` computes the same output but keeps
+    no intermediates and leaves the cache of the last recorded forward as
+    it was; inference runs that way.
+    """
 
     tag = "layer"
 
@@ -126,7 +143,7 @@ class Layer:
     def out_shape(self, in_shape):
         raise NotImplementedError
 
-    def forward(self, params: ParameterVector, x: Array) -> Array:
+    def forward(self, params: ParameterVector, x: Array, record: bool = True) -> Array:
         raise NotImplementedError
 
     def backward(self, params: ParameterVector, grads: ParameterVector, dy: Array) -> Array:
@@ -160,10 +177,11 @@ class Dense(Layer):
             raise self._shape_error(in_shape)
         return (self.out_dim,)
 
-    def forward(self, params, x):
+    def forward(self, params, x, record=True):
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise self._shape_error(x.shape)
-        self._cache = x
+        if record:
+            self._cache = x
         return x @ params.get(self._p("W")) + params.get(self._p("b"))
 
     def backward(self, params, grads, dy):
@@ -189,15 +207,17 @@ class Activation(Layer):
     def out_shape(self, in_shape):
         return tuple(in_shape)
 
-    def forward(self, params, x):
+    def forward(self, params, x, record=True):
         if self.kind == "relu":
-            self._cache = x
+            if record:
+                self._cache = x
             return np.maximum(x, 0.0)
         if self.kind == "tanh":
             y = np.tanh(x)
         else:
             y = _sigmoid(x)
-        self._cache = y
+        if record:
+            self._cache = y
         return y
 
     def backward(self, params, grads, dy):
@@ -251,12 +271,13 @@ class Conv1D(Layer):
         idx = np.arange(t_out)[:, None] + np.arange(self.kernel_size)[None, :]
         return x[:, idx, :]
 
-    def forward(self, params, x):
+    def forward(self, params, x, record=True):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise self._shape_error(x.shape)
         self.out_shape(x.shape[1:])
         win = self._windows(x)  # [N, T_out, k, C_in]
-        self._cache = (win, x.shape)
+        if record:
+            self._cache = (win, x.shape)
         w = params.get(self._p("W")).reshape(self.kernel_size * self.in_channels, self.out_channels)
         n, t_out = win.shape[0], win.shape[1]
         y = win.reshape(n, t_out, -1) @ w + params.get(self._p("b"))
@@ -319,7 +340,7 @@ class LSTM(Layer):
             raise self._shape_error(in_shape)
         return (in_shape[0], self.hidden_dim)
 
-    def forward(self, params, x):
+    def forward(self, params, x, record=True):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise self._shape_error(x.shape)
         if self.reverse:
@@ -342,10 +363,12 @@ class LSTM(Layer):
             c = f * c_prev + i * g
             tc = np.tanh(c)
             h = o * tc
-            steps.append((x[:, ti, :], h_prev, c_prev, i, f, g, o, tc))
+            if record:
+                steps.append((x[:, ti, :], h_prev, c_prev, i, f, g, o, tc))
             out[:, ti, :] = h
             h_prev, c_prev = h, c
-        self._cache = steps
+        if record:
+            self._cache = steps
         if self.reverse:
             return out[:, ::-1, :]
         return out
@@ -429,8 +452,10 @@ class BiLSTM(Layer):
         t, _ = self.fw.out_shape(in_shape)
         return (t, 2 * self.hidden_dim)
 
-    def forward(self, params, x):
-        return np.concatenate([self.fw.forward(params, x), self.bw.forward(params, x)], axis=2)
+    def forward(self, params, x, record=True):
+        fw = self.fw.forward(params, x, record=record)
+        bw = self.bw.forward(params, x, record=record)
+        return np.concatenate([fw, bw], axis=2)
 
     def backward(self, params, grads, dy):
         h = self.hidden_dim
@@ -449,10 +474,11 @@ class MeanPoolTime(Layer):
             raise self._shape_error(in_shape)
         return (in_shape[1],)
 
-    def forward(self, params, x):
+    def forward(self, params, x, record=True):
         if x.ndim != 3:
             raise self._shape_error(x.shape)
-        self._cache = x.shape[1]
+        if record:
+            self._cache = x.shape[1]
         return x.mean(axis=1)
 
     def backward(self, params, grads, dy):
@@ -470,8 +496,9 @@ class LastStep(Layer):
             raise self._shape_error(in_shape)
         return (in_shape[1],)
 
-    def forward(self, params, x):
-        self._cache = x.shape
+    def forward(self, params, x, record=True):
+        if record:
+            self._cache = x.shape
         return x[:, -1, :].copy()
 
     def backward(self, params, grads, dy):
@@ -495,8 +522,9 @@ class BiLastStep(Layer):
             raise self._shape_error(in_shape)
         return (in_shape[1],)
 
-    def forward(self, params, x):
-        self._cache = x.shape
+    def forward(self, params, x, record=True):
+        if record:
+            self._cache = x.shape
         h = self.hidden_dim
         return np.concatenate([x[:, -1, :h], x[:, 0, h:]], axis=1)
 
@@ -529,8 +557,10 @@ class Graph:
     ``input_signature`` is ("flat", D) for flattened input or ("seq", T, D)
     for sequence input. Forward records per-layer intermediates; backward over
     those intermediates accumulates gradients into a flat vector aligned with
-    the parameter layout. Single-threaded by design: one graph instance owns
-    one forward-state at a time.
+    the parameter layout. ``infer`` runs the same arithmetic without recording
+    anything, so it neither holds intermediates nor disturbs the state of the
+    last forward. Single-threaded by design: one graph instance owns one
+    forward-state at a time.
     """
 
     def __init__(self, layers, input_signature):
@@ -554,6 +584,7 @@ class Graph:
                 f"graph must end in 2 logits per sample, got feature shape {shape}"
             )
         self._param_shapes = shapes
+        self._grad_template = ParameterVector.zeros(shapes)
         self._token = 0
         self._logits = None
 
@@ -584,16 +615,23 @@ class Graph:
                     f"got {tuple(batch.shape)}"
                 )
 
-    def forward(self, params: ParameterVector, batch) -> Array:
-        batch = _f64(batch)
-        self._check_input(batch)
-        x = batch
+    def _run(self, params: ParameterVector, batch, record: bool) -> Array:
+        x = _f64(batch)
+        self._check_input(x)
         for layer in self.layers:
-            x = layer.forward(params, x)
+            x = layer.forward(params, x, record=record)
+        return x
+
+    def forward(self, params: ParameterVector, batch) -> Array:
+        x = self._run(params, batch, record=True)
         self._token += 1
         self._logits = x
         self._params_used = params
         return x
+
+    def infer(self, params: ParameterVector, batch) -> Array:
+        """Logits of ``batch`` with no backward state kept or overwritten."""
+        return self._run(params, batch, record=False)
 
     def loss(self, labels, class_weights) -> LossValue:
         if self._logits is None:
@@ -608,7 +646,8 @@ class Graph:
             raise UsageError(
                 f"dlogits shape {dlogits.shape} does not match logits {self._logits.shape}"
             )
-        grads = ParameterVector.zeros(self._param_shapes)
+        # fresh every call: GEM and A-GEM keep the gradients they are handed
+        grads = self._grad_template.zeros_same_layout()
         dx = dlogits
         for layer in reversed(self.layers):
             dx = layer.backward(self._params_used, grads, dx)

@@ -38,7 +38,6 @@ from .training import (
     TaskStream,
     TrainerSettings,
     compute_class_weights,
-    evaluate_seen_tasks,
     run_single,
 )
 
@@ -678,6 +677,3 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
     manifest = {"axis": axis, "groups": groups, "master_seed": config.master_seed}
     (base_dir / "sweep.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return manifest
-
-
-evaluate = evaluate_seen_tasks

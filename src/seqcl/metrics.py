@@ -3,7 +3,8 @@
 Every metric here has a brute-force counterpart in the test suite (pairwise
 AUROC counting, exhaustive PR sweeps, direct tallies); the implementations
 below are the fast sort-based versions that must agree with those oracles to
-1e-12 for cohort-sized inputs.
+1e-12 for cohort-sized inputs. The test suite also keeps the earlier
+per-metric loop versions, which the shared kernel must match bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from .errors import DataError, UndefinedMetricError, UsageError
 
 
 def _validate_scores_labels(scores, labels):
+    """Aligned float64 scores and int64 0/1 labels; the only label check."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     if scores.ndim != 1 or labels.shape != scores.shape:
@@ -22,9 +24,69 @@ def _validate_scores_labels(scores, labels):
         )
     if scores.size == 0:
         raise DataError("empty input")
-    if not np.all(np.isin(labels, (0, 1))):
+    if np.issubdtype(labels.dtype, np.integer):
+        binary = labels.min() >= 0 and labels.max() <= 1
+    else:
+        binary = np.all(np.isin(labels, (0, 1)))
+    if not binary:
         raise DataError("labels must be binary 0/1")
     return scores, labels.astype(np.int64)
+
+
+def _classify(scores, labels, threshold=0.5, areas=True):
+    """The classification kernel behind every metric in this module.
+
+    Takes validated scores and labels and returns ((tp, fp, tn, fn), auroc,
+    auprc); an area is None where undefined or when ``areas`` is false. Both
+    areas come from one stable ascending argsort, read per tie group (a run
+    of equal scores; every NaN is a group of its own, sorted last).
+
+    AUROC is the Mann-Whitney rank sum with average ranks per tie group. The
+    ranks are half-integers, so the sum is exact in any order.
+
+    AUPRC sweeps the groups from the highest score down, predicting positive
+    at score >= threshold, and sums (recall_k - recall_{k-1}) * precision_k
+    with a cumulative sum, which keeps a strict left-to-right order. The
+    NaN groups stay at the end of that sweep, in index order, where a
+    descending stable sort puts them.
+    """
+    n = labels.size
+    positive = labels == 1
+    n_pos = int(np.count_nonzero(positive))
+    n_neg = n - n_pos
+    predicted = scores >= threshold
+    tp = int(np.count_nonzero(predicted & positive))
+    n_predicted = int(np.count_nonzero(predicted))
+    counts = (tp, n_predicted - tp, n_neg - n_predicted + tp, n_pos - tp)
+    if not areas or n_pos == 0:
+        return counts, None, None
+
+    order = np.argsort(scores, kind="stable")
+    ordered = scores[order]
+    # edges[k] is where tie group k starts; edges[-1] == n
+    change = np.empty(n + 1, dtype=bool)
+    change[0] = change[n] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=change[1:n])
+    edges = np.flatnonzero(change)
+    group_pos = np.add.reduceat(labels[order], edges[:-1])
+
+    roc = None
+    if n_neg:
+        # group [i, j] (0-based, inclusive) has mean 1-based rank (i + j + 2) / 2
+        rank_sum = 0.5 * int(np.dot(group_pos, edges[:-1] + edges[1:] + 1))
+        roc = (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+    n_groups = edges.size - 1
+    n_nan = int(np.count_nonzero(np.isnan(ordered))) if np.isnan(ordered[-1]) else 0
+    finite = n_groups - n_nan
+    sweep = np.concatenate((np.arange(finite - 1, -1, -1), np.arange(finite, n_groups)))
+    tp_cum = np.cumsum(group_pos[sweep])
+    recall = tp_cum / n_pos
+    precision = tp_cum / np.cumsum(np.diff(edges)[sweep])
+    gain = recall.copy()
+    gain[1:] -= recall[:-1]
+    prc = float(np.cumsum(gain * precision)[-1])
+    return counts, roc, prc
 
 
 def confusion(probabilities, labels, threshold: float = 0.5):
@@ -41,12 +103,8 @@ def confusion(probabilities, labels, threshold: float = 0.5):
     else:
         scores = probs
     scores, labels = _validate_scores_labels(scores, labels)
-    pred = scores >= threshold
-    tp = int(np.sum(pred & (labels == 1)))
-    fp = int(np.sum(pred & (labels == 0)))
-    tn = int(np.sum(~pred & (labels == 0)))
-    fn = int(np.sum(~pred & (labels == 1)))
-    return tp, fp, tn, fn
+    counts, _, _ = _classify(scores, labels, threshold, areas=False)
+    return counts
 
 
 def balanced_accuracy(probabilities, labels, threshold: float = 0.5) -> float:
@@ -62,26 +120,12 @@ def balanced_accuracy(probabilities, labels, threshold: float = 0.5) -> float:
 
 def auroc(scores, labels) -> float:
     """P(score_pos > score_neg) + 0.5 P(tie), via average ranks."""
-    scores, labels = _validate_scores_labels(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    (tp, fp, tn, fn), value, _ = _classify(*_validate_scores_labels(scores, labels))
+    if value is None:
         raise UndefinedMetricError(
-            f"AUROC needs both classes present (positives={n_pos}, negatives={n_neg})"
+            f"AUROC needs both classes present (positives={tp + fn}, negatives={tn + fp})"
         )
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.size, dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        # average 1-based rank for the tie group [i, j]
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    rank_sum = float(ranks[labels == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    return value
 
 
 def auprc(scores, labels) -> float:
@@ -91,27 +135,10 @@ def auprc(scores, labels) -> float:
     positive at score >= threshold; the area is sum over threshold steps of
     (recall_k - recall_{k-1}) * precision_k.
     """
-    scores, labels = _validate_scores_labels(scores, labels)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
+    _, _, value = _classify(*_validate_scores_labels(scores, labels))
+    if value is None:
         raise UndefinedMetricError("AUPRC needs at least one positive")
-    order = np.argsort(-scores, kind="stable")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    tp_cum = np.cumsum(sorted_labels)
-    n_seen = np.arange(1, labels.size + 1)
-    # indices where the threshold actually drops (last element of a tie group)
-    boundary = np.flatnonzero(
-        np.concatenate([sorted_scores[1:] != sorted_scores[:-1], [True]])
-    )
-    area = 0.0
-    prev_recall = 0.0
-    for b in boundary:
-        recall = tp_cum[b] / n_pos
-        precision = tp_cum[b] / n_seen[b]
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-    return float(area)
+    return value
 
 
 class AccuracyMatrix:
@@ -210,9 +237,8 @@ def summarize_classification(probabilities, labels, class_weights, threshold=0.5
     probs = np.asarray(probabilities, dtype=np.float64)
     if probs.ndim != 2 or probs.shape[1] != 2:
         raise DataError(f"probabilities must be [N, 2], got {probs.shape}")
-    labels = np.asarray(labels)
-    scores = probs[:, 1]
-    tp, fp, tn, fn = confusion(scores, labels, threshold)
+    scores, labels = _validate_scores_labels(probs[:, 1], labels)
+    (tp, fp, tn, fn), roc, prc = _classify(scores, labels, threshold)
     out = {}
     out["sensitivity"] = tp / (tp + fn) if tp + fn else None
     out["specificity"] = tn / (tn + fp) if tn + fp else None
@@ -221,8 +247,8 @@ def summarize_classification(probabilities, labels, class_weights, threshold=0.5
     out["balanced_accuracy"] = (
         0.5 * (out["sensitivity"] + out["specificity"]) if both_classes else None
     )
-    out["auroc"] = auroc(scores, labels) if both_classes else None
-    out["auprc"] = auprc(scores, labels) if out["sensitivity"] is not None else None
+    out["auroc"] = roc
+    out["auprc"] = prc
     weights = np.asarray(class_weights, dtype=np.float64)
     p_true = np.clip(probs[np.arange(labels.size), labels], 1e-12, 1.0 - 1e-12)
     out["weighted_ce"] = float(np.mean(-weights[labels] * np.log(p_true)))

@@ -161,8 +161,7 @@ def build_model(spec: ArchitectureSpec, input_dims, seed: int) -> Model:
 def predict(model: Model, batch) -> np.ndarray:
     """Softmax probabilities [N, 2]; rows sum to 1 within 1e-12."""
     x = model.prepare_batch(batch)
-    logits = model.graph.forward(model.params, x)
-    return ad.softmax(logits)
+    return ad.softmax(model.graph.infer(model.params, x))
 
 
 def repeat_and_concat_statics(timevarying, statics) -> np.ndarray:

@@ -51,18 +51,26 @@ def compute_class_weights(labels) -> tuple:
     return (n / (2.0 * counts[0]), n / (2.0 * counts[1]))
 
 
+def _read_only(array):
+    array.setflags(write=False)
+    return array
+
+
 class TaskStream:
     """Ordered task partitions behind an access-counting facade.
 
     Every data read during tuning and training goes through ``get``, so the
     counter doubles as the protocol audit: tuning must leave every task
-    index >= 2 at zero accesses.
+    index >= 2 at zero accesses. Each (task, split) is assembled on its
+    first access only; the arrays the stream builds itself are read-only,
+    since every later ``get`` hands out the same objects.
     """
 
     def __init__(self, partitions, merge_val_into_train=False):
         self.partitions = list(partitions)
         self.merge_val_into_train = bool(merge_val_into_train)
         self.access_counts = {}
+        self._assembled = {}
 
     def __len__(self):
         return len(self.partitions)
@@ -75,14 +83,19 @@ class TaskStream:
         part = self.partitions[task_idx]
         key = (task_idx, split)
         self.access_counts[key] = self.access_counts.get(key, 0) + 1
+        if key not in self._assembled:
+            self._assembled[key] = self._assemble(task_idx, part, split)
+        return self._assembled[key]
+
+    def _assemble(self, task_idx, part, split):
         if split == "train":
             data = part.train
             if self.merge_val_into_train and part.val is not None:
-                return (
+                return tuple(_read_only(merged) for merged in (
                     np.concatenate([part.train.features(), part.val.features()]),
                     np.concatenate([part.train.labels, part.val.labels]),
                     np.concatenate([part.train.patient_ids, part.val.patient_ids]),
-                )
+                ))
         elif split == "val":
             data = part.val
             if data is None:
@@ -91,7 +104,7 @@ class TaskStream:
             data = part.test
         else:
             raise ConfigurationError(f"unknown split {split!r}")
-        return data.features(), data.labels, data.patient_ids
+        return _read_only(data.features()), data.labels, data.patient_ids
 
     def accesses_at_or_beyond(self, task_idx: int) -> int:
         return sum(
@@ -131,21 +144,18 @@ class RunOutput:
 def evaluate_seen_tasks(model, stream, upto_task, class_weights, splits=("test", "train")):
     """Metric rows for every seen task on the requested splits, plus one
     running-mean row per split (eval_task None, averaged where defined)."""
+    class_weights = np.asarray(class_weights, dtype=np.float64)
+    task_names = [stream.task_name(j) for j in range(upto_task + 1)]
     rows = []
     for split in splits:
         per_task = []
-        for j in range(upto_task + 1):
+        for j, task_name in enumerate(task_names):
             features, labels, _ = stream.get(j, split)
             probs = predict(model, features)
             values = summarize_classification(probs, labels, class_weights)
             per_task.append(values)
             rows.append(
-                {
-                    "eval_task": j,
-                    "eval_task_name": stream.task_name(j),
-                    "split": split,
-                    "metrics": values,
-                }
+                {"eval_task": j, "eval_task_name": task_name, "split": split, "metrics": values}
             )
         means = {}
         for name in METRIC_NAMES:

@@ -15,6 +15,7 @@ import json
 import time
 
 import numpy as np
+import pytest
 
 import seqcl.autodiff as ad
 import seqcl.strategies as cl
@@ -427,6 +428,7 @@ def test_05_metric_oracles():
 # 6. forgetting on a short conflicting stream
 
 
+@pytest.mark.slow
 def test_06_forgetting_demonstration(tmp_path):
     t0 = time.monotonic()
     profile = _write_profile(
@@ -467,6 +469,7 @@ def test_06_forgetting_demonstration(tmp_path):
 # 7. twenty-domain stream: anchoring stalls, rehearsal works
 
 
+@pytest.mark.slow
 def test_07_many_task_degradation(tmp_path):
     t0 = time.monotonic()
     profile = _write_profile(

@@ -140,6 +140,33 @@ def test_forward_is_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize(
+    "make_layers,signature",
+    [
+        (lambda: [ad.Dense(5, 6), ad.Activation("relu"), ad.Dense(6, 2)], ("flat", 5)),
+        (lambda: [ad.Dense(4, 4), ad.Activation("sigmoid"), ad.Dense(4, 2)], ("flat", 4)),
+        (lambda: [ad.Conv1D(3, 4, 3), ad.Activation("tanh"), ad.MeanPoolTime(), ad.Dense(4, 2)],
+         ("seq", 8, 3)),
+        (lambda: [ad.LSTM(2, 3), ad.LSTM(3, 3), ad.LastStep(), ad.Dense(3, 2)], ("seq", 5, 2)),
+        (lambda: [ad.BiLSTM(3, 3), ad.BiLastStep(3), ad.Dense(6, 2)], ("seq", 6, 3)),
+    ],
+)
+def test_infer_matches_forward_and_leaves_backward_state_alone(make_layers, signature):
+    g = ad.Graph(make_layers(), signature)
+    p = g.new_params()
+    rng = RNG(11)
+    p.values[...] = rng.normal(scale=0.6, size=p.size)
+    x = rng.normal(size=(6, *signature[1:]))
+    other = rng.normal(size=(9, *signature[1:]))
+    logits = g.forward(p, x).copy()
+    loss = g.loss(np.arange(6) % 2, (0.7, 1.6))
+    expected = ad.backward(g, loss)
+    assert np.array_equal(g.infer(p, x), logits)
+    g.infer(p, other)
+    # the loss node is still current and backward still sees x's intermediates
+    assert np.array_equal(ad.backward(g, loss), expected)
+
+
 def test_shape_mismatch_names_offending_layer():
     g = ad.Graph([ad.Dense(4, 2)], ("flat", 4))
     with pytest.raises(ConfigurationError, match="flat input"):
@@ -193,6 +220,18 @@ def test_backward_matches_hand_derivative_on_one_parameter_path():
     hand = 1.0 / (1.0 + math.exp(-theta))  # sigmoid, written out independently
     w_grad = grad[1]  # layout: W[0,0], W[0,1], b0, b1
     assert w_grad == pytest.approx(hand, abs=1e-12)
+
+
+def test_backward_returns_a_fresh_gradient_vector_every_call():
+    g = dense_graph(3, [4, 2])
+    p = g.new_params()
+    p.values[...] = RNG(5).normal(size=p.size)
+    x = RNG(6).normal(size=(4, 3))
+    first = analytic_gradient(g, p, x, np.array([0, 1, 1, 0]))
+    kept = first.copy()
+    second = analytic_gradient(g, p, x, np.array([0, 1, 1, 0]))
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(first, kept) and np.array_equal(second, kept)
 
 
 def test_unreachable_parameter_gradient_is_exactly_zero():

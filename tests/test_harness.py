@@ -328,6 +328,51 @@ class TestTrainerIntegration:
         own = [p.train.labels.size for p in partitions]
         assert sizes == [own[0], own[0] + own[1], own[0] + own[1] + own[2]]
 
+    def test_task_stream_assembles_once_and_serves_read_only_features(self, profile_path):
+        config = harness.config_from_dict(base_config(profile_path, "unused-out"))
+        partitions = harness.load_partitions(config)
+        stream = TaskStream(partitions, merge_val_into_train=True)
+        for task_idx, split, data in ((1, "test", partitions[1].test),
+                                      (1, "val", partitions[1].val),
+                                      (2, "train", partitions[2].train)):
+            features, labels, _ = stream.get(task_idx, split)
+            assert not features.flags.writeable
+            with pytest.raises(ValueError):
+                features[0] = 0.0
+            again, _, _ = stream.get(task_idx, split)
+            assert np.array_equal(again, data.features())
+            assert np.array_equal(labels, data.labels)
+        merged = stream.get(0, "train")
+        first = partitions[0]
+        assert all(not array.flags.writeable for array in merged)
+        assert np.array_equal(
+            merged[0], np.concatenate([first.train.features(), first.val.features()])
+        )
+        assert np.array_equal(merged[1], np.concatenate([first.train.labels, first.val.labels]))
+        assert stream.access_counts == {(1, "test"): 2, (1, "val"): 2, (2, "train"): 2,
+                                        (0, "train"): 1}
+
+    def test_access_counts_count_every_get_of_a_run(self, profile_path):
+        config = harness.config_from_dict(base_config(profile_path, "unused-out"))
+        partitions = harness.load_partitions(config)
+        stream = TaskStream(partitions)
+        spec = ArchitectureSpec(kind="mlp", n_feature_layers=1, hidden_dim=8)
+        run_single(
+            lambda seed: build_model(spec, harness._input_dims(partitions[0]), seed),
+            stream,
+            build_strategy("naive"),
+            (1.0, 1.0),
+            TrainerSettings(epochs_per_task=2),
+            master_seed=0,
+            run_idx=0,
+        )
+        # per task: its training data, two epochs of test+train evaluation
+        # over the seen tasks, and its test patient ids
+        assert sum(stream.access_counts.values()) == sum(2 + 2 * 2 * (t + 1) for t in range(3))
+        assert stream.access_counts[(0, "test")] == 2 * 3 + 1
+        tuned = harness.tune(config, partitions=partitions)
+        assert tuned["audit_accesses_beyond_first_two"] == 0
+
     def test_epoch_accounting_is_exact(self, profile_path):
         config = harness.config_from_dict(
             base_config(profile_path, "unused-out", epochs_per_task=3)

@@ -46,6 +46,88 @@ def sweep_auprc(scores, labels):
     return area
 
 
+def legacy_validate(scores, labels):
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    if not np.all(np.isin(labels, (0, 1))):
+        raise DataError("labels must be binary 0/1")
+    return scores, labels.astype(np.int64)
+
+
+def legacy_confusion(scores, labels, threshold=0.5):
+    """The per-function confusion count the classification kernel replaced."""
+    scores, labels = legacy_validate(scores, labels)
+    pred = scores >= threshold
+    tp = int(np.sum(pred & (labels == 1)))
+    fp = int(np.sum(pred & (labels == 0)))
+    tn = int(np.sum(~pred & (labels == 0)))
+    fn = int(np.sum(~pred & (labels == 1)))
+    return tp, fp, tn, fn
+
+
+def legacy_auroc(scores, labels):
+    """Average ranks assigned tie group by tie group in a Python loop."""
+    scores, labels = legacy_validate(scores, labels)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(scores, kind="stable")
+    ranks = np.empty(scores.size, dtype=np.float64)
+    sorted_scores = scores[order]
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    rank_sum = float(ranks[labels == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def legacy_auprc(scores, labels):
+    """Descending stable sort, then a Python loop over threshold drops."""
+    scores, labels = legacy_validate(scores, labels)
+    n_pos = int(labels.sum())
+    order = np.argsort(-scores, kind="stable")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    tp_cum = np.cumsum(sorted_labels)
+    n_seen = np.arange(1, labels.size + 1)
+    boundary = np.flatnonzero(
+        np.concatenate([sorted_scores[1:] != sorted_scores[:-1], [True]])
+    )
+    area = 0.0
+    prev_recall = 0.0
+    for b in boundary:
+        recall = tp_cum[b] / n_pos
+        precision = tp_cum[b] / n_seen[b]
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+    return float(area)
+
+
+def legacy_summary(probs, labels, class_weights, threshold=0.5):
+    """The evaluation row as computed from three separate metric calls."""
+    probs = np.asarray(probs, dtype=np.float64)
+    labels = np.asarray(labels)
+    scores = probs[:, 1]
+    tp, fp, tn, fn = legacy_confusion(scores, labels, threshold)
+    out = {}
+    out["sensitivity"] = tp / (tp + fn) if tp + fn else None
+    out["specificity"] = tn / (tn + fp) if tn + fp else None
+    out["precision"] = tp / (tp + fp) if tp + fp else None
+    both_classes = out["sensitivity"] is not None and out["specificity"] is not None
+    out["balanced_accuracy"] = (
+        0.5 * (out["sensitivity"] + out["specificity"]) if both_classes else None
+    )
+    out["auroc"] = legacy_auroc(scores, labels) if both_classes else None
+    out["auprc"] = legacy_auprc(scores, labels) if out["sensitivity"] is not None else None
+    weights = np.asarray(class_weights, dtype=np.float64)
+    p_true = np.clip(probs[np.arange(labels.size), labels], 1e-12, 1.0 - 1e-12)
+    out["weighted_ce"] = float(np.mean(-weights[labels] * np.log(p_true)))
+    return out
+
+
 def tally_confusion(scores, labels, threshold):
     tp = fp = tn = fn = 0
     for s, y in zip(scores, labels):
@@ -314,6 +396,50 @@ def test_summary_single_class_labels_leave_undefined_metrics_as_none():
     assert out["sensitivity"] is None
     assert out["auprc"] is None
     assert out["specificity"] == 0.5
+
+
+def exact(value):
+    """Bit pattern of a metric value; NaN equals NaN, 0.0 differs from -0.0."""
+    return value.hex() if isinstance(value, float) else value
+
+
+@st.composite
+def scored_labels(draw):
+    """Scores with heavy ties, NaNs and signed zeros; labels may be one class."""
+    n = draw(st.integers(1, 60))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    pool = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, np.nan]),
+                  st.floats(0.0, 1.0)),
+        min_size=1, max_size=12,
+    ))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    return np.array([pool[i] for i in picks]), labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_labels(), st.sampled_from([0.0, 0.5, 1.0]))
+def test_kernel_is_bit_identical_to_legacy_metrics(data, threshold):
+    scores, labels = data
+    assert mt.confusion(scores, labels, threshold) == legacy_confusion(scores, labels, threshold)
+    n_pos = int(labels.sum())
+    if 0 < n_pos < labels.size:
+        assert exact(mt.auroc(scores, labels)) == exact(legacy_auroc(scores, labels))
+    if n_pos:
+        assert exact(mt.auprc(scores, labels)) == exact(legacy_auprc(scores, labels))
+    probs = np.stack([1.0 - scores, scores], axis=1)
+    new = mt.summarize_classification(probs, labels, (0.7, 1.9), threshold)
+    old = legacy_summary(probs, labels, (0.7, 1.9), threshold)
+    assert list(new) == list(old)
+    assert {k: exact(v) for k, v in new.items()} == {k: exact(v) for k, v in old.items()}
+
+
+def test_kernel_keeps_nan_scores_last_in_the_precision_recall_sweep():
+    # reversing an ascending sort would move the NaN group to the front
+    scores = np.array([0.9, np.nan, 0.2, 0.8, np.nan])
+    labels = np.array([1, 1, 0, 0, 1])
+    assert exact(mt.auprc(scores, labels)) == exact(legacy_auprc(scores, labels))
+    assert exact(mt.auroc(scores, labels)) == exact(legacy_auroc(scores, labels))
 
 
 def test_summary_rejects_wrong_shape():
