@@ -18,41 +18,15 @@ import pathlib
 import numpy as np
 
 from seqcl import harness
+from seqcl.datagen import conflicting_stream_profile
 
 
 def build_profile(n_patients):
-    dt, ds = 8, 2
-    u = np.ones(dt) / np.sqrt(dt)
-    v = np.zeros(dt)
-    v[: dt // 2] = 1.0
-    v[dt // 2 :] = -1.0
-    v /= np.linalg.norm(v)
-    domains = []
-    for j, ang in enumerate((0.0, 90.0, 180.0)):
-        rad = np.deg2rad(ang)
-        direction = np.cos(rad) * u + np.sin(rad) * v
-        orth = np.zeros(dt)
-        orth[2 * j] = 1.0
-        orth[2 * j + 1] = -1.0
-        orth /= np.linalg.norm(orth)
-        pos = 2.0 * np.pi * j / 3.0
-        static = 4.0 * np.array([np.cos(pos), np.sin(pos)])
-        domains.append(
-            {
-                "name": f"site{j:02d}",
-                "mean_offset": list(2.0 * orth) + list(static),
-                "prevalence": 0.25,
-                "label_direction": list(direction),
-            }
-        )
-    return {
-        "n_patients": n_patients,
-        "n_timevarying": dt,
-        "n_static": ds,
-        "seq_len": 24,
-        "label_amplitude": 2.8,
-        "domains": {"site": domains},
-    }
+    return conflicting_stream_profile(
+        key="site", prefix="site", n_domains=3, n_patients=n_patients,
+        dt=8, ds=2, seq_len=24, amplitude=2.8, prevalence=0.25,
+        angles_deg=[0.0, 90.0, 180.0],
+    )
 
 
 def first_task_trajectory(outs, epochs):

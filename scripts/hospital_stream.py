@@ -19,43 +19,16 @@ import pathlib
 import numpy as np
 
 from seqcl import harness
+from seqcl.datagen import conflicting_stream_profile
 from seqcl.metrics import AccuracyMatrix, bootstrap_ci, forgetting
 
 
 def build_profile(n_patients):
-    dt, ds = 6, 2
-    n_dom = 20
-    u = np.ones(dt) / np.sqrt(dt)
-    v = np.zeros(dt)
-    v[: dt // 2] = 1.0
-    v[dt // 2 :] = -1.0
-    v /= np.linalg.norm(v)
-    domains = []
-    for j in range(n_dom):
-        rad = np.deg2rad(18.0 * j)
-        direction = np.cos(rad) * u + np.sin(rad) * v
-        orth = np.zeros(dt)
-        orth[2 * (j % 3)] = 1.0
-        orth[2 * (j % 3) + 1] = -1.0
-        orth /= np.linalg.norm(orth)
-        pos = 2.0 * np.pi * j / n_dom
-        static = 4.0 * np.array([np.cos(pos), np.sin(pos)])
-        domains.append(
-            {
-                "name": f"hosp{j:02d}",
-                "mean_offset": list(2.0 * orth) + list(static),
-                "prevalence": 0.30,
-                "label_direction": list(direction),
-            }
-        )
-    return {
-        "n_patients": n_patients,
-        "n_timevarying": dt,
-        "n_static": ds,
-        "seq_len": 12,
-        "label_amplitude": 2.8,
-        "domains": {"hospital": domains},
-    }
+    return conflicting_stream_profile(
+        key="hospital", prefix="hosp", n_domains=20, n_patients=n_patients,
+        dt=6, ds=2, seq_len=12, amplitude=2.8, prevalence=0.30,
+        angles_deg=[18.0 * j for j in range(20)],
+    )
 
 
 def final_mean_forgetting(records, n_tasks, epochs):

@@ -1,10 +1,10 @@
 """Manifest + raw blob persistence.
 
-One convention shared by dataset files, model checkpoints, and strategy
-state: a directory holding ``manifest.json`` plus a single ``data.bin`` in
-which every array occupies its own little-endian blob region. The manifest
-records name, byte offset, shape, and dtype for each region, so loading is a
-bitwise round trip and truncation is detectable byte-for-byte.
+The on-disk format of dataset files: a directory holding ``manifest.json``
+plus a single ``data.bin`` in which every array occupies its own
+little-endian blob region. The manifest records name, byte offset, shape,
+and dtype for each region, so loading is a bitwise round trip and
+truncation is detectable byte-for-byte.
 """
 
 from __future__ import annotations

@@ -646,6 +646,54 @@ def builtin_profile(name: str) -> ShiftProfile:
     raise ConfigurationError(f"unknown builtin profile {name!r}")
 
 
+def conflicting_stream_profile(key, prefix, n_domains, n_patients, dt, ds, seq_len,
+                               amplitude, prevalence, angles_deg,
+                               orth_scale=2.0, static_scale=4.0) -> dict:
+    """JSON profile whose domains carry conflicting outcome signals.
+
+    Each domain's label direction is a rotation, by its entry of
+    ``angles_deg``, within one shared two-dimensional subspace of the
+    time-varying features. Domains near 180 degrees apart write opposing
+    values into the same weights, so sequential training overwrites earlier
+    tasks, while the per-domain orthogonal and static offsets keep the pooled
+    problem learnable.
+    """
+    u = np.ones(dt) / np.sqrt(dt)
+    v = np.zeros(dt)
+    v[: dt // 2] = 1.0
+    v[dt // 2 :] = -1.0
+    v /= np.linalg.norm(v)
+    orth = []
+    for j in range(3):
+        w = np.zeros(dt)
+        w[2 * j] = 1.0
+        w[2 * j + 1] = -1.0
+        orth.append(w / np.linalg.norm(w))
+    domains = []
+    for j, ang in enumerate(angles_deg):
+        rad = np.deg2rad(float(ang))
+        direction = np.cos(rad) * u + np.sin(rad) * v
+        pos = 2.0 * np.pi * j / n_domains
+        static = static_scale * np.array([np.cos(pos), np.sin(pos)])
+        domains.append(
+            {
+                "name": f"{prefix}{j:02d}",
+                "mean_offset": [float(x) for x in orth_scale * orth[j % 3]]
+                + [float(x) for x in static],
+                "prevalence": prevalence,
+                "label_direction": [float(x) for x in direction],
+            }
+        )
+    return {
+        "n_patients": n_patients,
+        "n_timevarying": dt,
+        "n_static": ds,
+        "seq_len": seq_len,
+        "label_amplitude": amplitude,
+        "domains": {key: domains},
+    }
+
+
 def resolve_profile(spec) -> ShiftProfile:
     """Accept a builtin name, a JSON file path, or an inline dict."""
     if isinstance(spec, ShiftProfile):

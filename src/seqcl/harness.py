@@ -102,6 +102,15 @@ class ExperimentConfig:
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigurationError(f"grid key {key!r} needs a nonempty list")
         build_strategy(self.strategy)  # name check
+        budget = self.buffer_budget
+        if budget is not None and (
+            isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
+        ):
+            raise ConfigurationError(
+                f"buffer_budget must be a non-negative int or null, got {budget!r}"
+            )
+        if budget is None and self.strategy == "gdumb":
+            raise ConfigurationError("gdumb needs a finite buffer_budget, got null")
         TrainerSettings(
             epochs_per_task=self.epochs_per_task,
             batch_size=self.batch_size,

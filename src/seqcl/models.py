@@ -16,12 +16,11 @@ Feature stacks per kind:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .blobio import read_bundle, write_bundle
 from .errors import ConfigurationError, DataError
 
 MODEL_KINDS = ("mlp", "cnn1d", "lstm")
@@ -63,10 +62,6 @@ class Model:
     input_dims: tuple  # (T, D) of the model-ready feature tensor
     graph: ad.Graph
     params: ad.ParameterVector
-
-    def clone_graph(self) -> ad.Graph:
-        """A fresh graph of the same shape (own forward-state, shared nothing)."""
-        return build_graph(self.spec, self.input_dims)
 
     def prepare_batch(self, batch) -> np.ndarray:
         """Map a [N, T, D] feature batch onto the graph's input signature."""
@@ -180,33 +175,6 @@ def repeat_and_concat_statics(timevarying, statics) -> np.ndarray:
         return tv.copy()
     tiled = np.repeat(st[:, None, :], tv.shape[1], axis=1)
     return np.concatenate([tv, tiled], axis=2)
-
-
-def save_model(model: Model, path) -> None:
-    header = {
-        "payload": "model-checkpoint",
-        "architecture": asdict(model.spec),
-        "input_dims": list(model.input_dims),
-        "layout": [[n, o, list(s)] for n, o, s in model.params.layout],
-    }
-    write_bundle(path, header, {"params": model.params.values})
-
-
-def load_model(path) -> Model:
-    header, arrays = read_bundle(path)
-    if header.get("payload") != "model-checkpoint":
-        raise ConfigurationError(f"{path} is not a model checkpoint")
-    spec = ArchitectureSpec(**header["architecture"]).validate()
-    input_dims = tuple(header["input_dims"])
-    graph = build_graph(spec, input_dims)
-    params = graph.new_params()
-    if params.size != arrays["params"].size:
-        raise ConfigurationError(
-            f"checkpoint has {arrays['params'].size} parameters, architecture "
-            f"needs {params.size}"
-        )
-    params.values[...] = arrays["params"]
-    return Model(spec=spec, input_dims=input_dims, graph=graph, params=params)
 
 
 def parameter_count(spec: ArchitectureSpec, input_dims) -> int:

@@ -15,14 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blobio
 from .autodiff import forward, log_softmax, softmax, weighted_ce_with_grad
-from .errors import (
-    ConfigurationError,
-    DataFormatError,
-    QpNonConvergenceError,
-    UsageError,
-)
+from .errors import ConfigurationError, QpNonConvergenceError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -205,13 +199,29 @@ def compute_fisher(model, features, labels, batch_size=64) -> np.ndarray:
 # distillation
 
 
+def distillation_with_grad(student_logits, teacher_logits, alpha, temperature):
+    """Distillation term and its d/dlogits, the one copy of LwF's KL math.
+
+    value = alpha * T^2 * KL(softmax(teacher/T) || softmax(student/T)),
+    averaged over the batch. The gradient w.r.t. the student logits is
+    alpha * T * (p_student - p_teacher) / N.
+    """
+    n = student_logits.shape[0]
+    log_ps = log_softmax(student_logits / temperature)
+    log_pt = log_softmax(teacher_logits / temperature)
+    pt = np.exp(log_pt)
+    kl = float(np.sum(pt * (log_pt - log_ps))) / n
+    value = alpha * temperature * temperature * kl
+    dlogits = alpha * temperature * (np.exp(log_ps) - pt) / n
+    return value, dlogits
+
+
 def lwf_loss_with_grad(student_logits, teacher_logits, labels, alpha, temperature,
                        class_weights=(1.0, 1.0)):
     """Weighted CE plus temperature-scaled distillation, with d/dlogits.
 
-    value = CE(labels) + alpha * T^2 * KL(softmax(teacher/T) || softmax(student/T)),
-    both terms averaged over the batch. The KL gradient w.r.t. the student
-    logits is alpha * T * (p_student - p_teacher) / N.
+    value = CE(labels) + ``distillation_with_grad``, both terms averaged over
+    the batch.
     """
     if temperature <= 0:
         raise UsageError("temperature must be positive")
@@ -222,14 +232,10 @@ def lwf_loss_with_grad(student_logits, teacher_logits, labels, alpha, temperatur
     value, dlogits = weighted_ce_with_grad(student_logits, labels, class_weights)
     if alpha == 0.0:
         return value, dlogits
-    n = student_logits.shape[0]
-    log_ps = log_softmax(student_logits / temperature)
-    log_pt = log_softmax(teacher_logits / temperature)
-    pt = np.exp(log_pt)
-    kl = float(np.sum(pt * (log_pt - log_ps))) / n
-    value += alpha * temperature * temperature * kl
-    dlogits = dlogits + alpha * temperature * (np.exp(log_ps) - pt) / n
-    return value, dlogits
+    kd_value, kd_dlogits = distillation_with_grad(
+        student_logits, teacher_logits, alpha, temperature
+    )
+    return value + kd_value, dlogits + kd_dlogits
 
 
 def lwf_loss(student_logits, teacher_logits, labels, alpha, temperature,
@@ -430,32 +436,9 @@ class Strategy:
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         pass
 
-    def state_payload(self):
-        """(meta, arrays) snapshot for checkpointing."""
-        return {}, {}
-
-    def restore_state(self, meta, arrays) -> None:
-        pass
-
 
 class Naive(Strategy):
     kind = "naive"
-
-
-def _buffer_payload(buffer: ReplayBuffer):
-    meta = {"n_tasks": len(buffer.tasks)}
-    arrays = {}
-    for k, (features, labels) in enumerate(buffer.tasks):
-        arrays[f"task{k}.features"] = features
-        arrays[f"task{k}.labels"] = np.asarray(labels, dtype=np.int64)
-    return meta, arrays
-
-
-def _restore_buffer(meta, arrays) -> ReplayBuffer:
-    buffer = ReplayBuffer()
-    for k in range(int(meta["n_tasks"])):
-        buffer.tasks.append((arrays[f"task{k}.features"], arrays[f"task{k}.labels"]))
-    return buffer
 
 
 class Replay(Strategy):
@@ -479,15 +462,6 @@ class Replay(Strategy):
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         replay_store(self.buffer, features, labels, rng, budget=self.budget)
-
-    def state_payload(self):
-        meta, arrays = _buffer_payload(self.buffer)
-        meta["budget"] = self.budget
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.budget = meta["budget"]
-        self.buffer = _restore_buffer(meta, arrays)
 
 
 class Cumulative(Replay):
@@ -533,17 +507,6 @@ class Gdumb(Strategy):
             return features, labels
         return stored
 
-    def state_payload(self):
-        meta, arrays = _buffer_payload(self.buffer)
-        meta["budget"] = self.budget
-        meta["scratch_retrain"] = self.scratch_retrain
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.budget = int(meta["budget"])
-        self.scratch_retrain = bool(meta["scratch_retrain"])
-        self.buffer = _restore_buffer(meta, arrays)
-
 
 class Ewc(Strategy):
     """Quadratic pull toward every past task's parameters, Fisher-weighted."""
@@ -568,20 +531,6 @@ class Ewc(Strategy):
         fisher = compute_fisher(model, features, labels, self.fisher_batch_size)
         self.state.anchors.append(model.params.values.copy())
         self.state.fishers.append(fisher)
-
-    def state_payload(self):
-        meta = {"lambda": self.state.lam, "n_tasks": len(self.state.anchors)}
-        arrays = {}
-        for k, (anchor, fisher) in enumerate(zip(self.state.anchors, self.state.fishers)):
-            arrays[f"anchor{k}"] = anchor
-            arrays[f"fisher{k}"] = fisher
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.state = EwcState(lam=float(meta["lambda"]))
-        for k in range(int(meta["n_tasks"])):
-            self.state.anchors.append(arrays[f"anchor{k}"])
-            self.state.fishers.append(arrays[f"fisher{k}"])
 
 
 class OnlineEwc(Strategy):
@@ -612,21 +561,6 @@ class OnlineEwc(Strategy):
         )
         self.state.anchor = model.params.values.copy()
 
-    def state_payload(self):
-        meta = {"lambda": self.state.lam, "decay": self.state.decay,
-                "anchored": self.state.anchor is not None}
-        arrays = {}
-        if self.state.anchor is not None:
-            arrays["running_fisher"] = self.state.running_fisher
-            arrays["anchor"] = self.state.anchor
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.state = OnlineEwcState(lam=float(meta["lambda"]), decay=float(meta["decay"]))
-        if meta["anchored"]:
-            self.state.running_fisher = arrays["running_fisher"]
-            self.state.anchor = arrays["anchor"]
-
 
 class Si(Strategy):
     """Path-integral importance accumulated during training itself."""
@@ -656,21 +590,6 @@ class Si(Strategy):
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         si_consolidate(self.state, model.params.values)
 
-    def state_payload(self):
-        meta = {"strength": self.state.strength, "damping": self.state.damping}
-        arrays = {}
-        for name in ("omega", "consolidated", "anchor", "task_start"):
-            value = getattr(self.state, name)
-            if value is not None:
-                arrays[name] = value
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.state = SiState(strength=float(meta["strength"]), damping=float(meta["damping"]))
-        for name in ("omega", "consolidated", "anchor", "task_start"):
-            if name in arrays:
-                setattr(self.state, name, arrays[name])
-
 
 class Lwf(Strategy):
     """Logit distillation against a frozen copy taken at each task start."""
@@ -683,7 +602,6 @@ class Lwf(Strategy):
         self.alpha = float(alpha)
         self.temperature = float(temperature)
         self.teacher_params = None
-        self._teacher_graph = None
 
     def before_task(self, model, task_idx, features, labels, rng) -> None:
         if task_idx == 0 or self.alpha == 0.0:
@@ -692,44 +610,10 @@ class Lwf(Strategy):
         self.teacher_params = model.params.copy()
 
     def batch_loss(self, model, batch, logits, labels, class_weights):
-        self.adopt_pending_teacher(model)
         if self.teacher_params is None:
             return 0.0, None
-        if self._teacher_graph is None:
-            self._teacher_graph = model.clone_graph()
-        teacher_logits = forward(self._teacher_graph, self.teacher_params, batch)
-        n = logits.shape[0]
-        log_ps = log_softmax(logits / self.temperature)
-        log_pt = log_softmax(teacher_logits / self.temperature)
-        pt = np.exp(log_pt)
-        kl = float(np.sum(pt * (log_pt - log_ps))) / n
-        value = self.alpha * self.temperature * self.temperature * kl
-        dlogits = self.alpha * self.temperature * (np.exp(log_ps) - pt) / n
-        return value, dlogits
-
-    def state_payload(self):
-        meta = {"alpha": self.alpha, "temperature": self.temperature,
-                "has_teacher": self.teacher_params is not None}
-        arrays = {}
-        if self.teacher_params is not None:
-            arrays["teacher"] = self.teacher_params.values
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.alpha = float(meta["alpha"])
-        self.temperature = float(meta["temperature"])
-        self.teacher_params = None
-        if meta["has_teacher"]:
-            self._pending_teacher = arrays["teacher"]
-
-    def adopt_pending_teacher(self, model) -> None:
-        """Rebind a checkpointed teacher vector to a model's layout."""
-        pending = getattr(self, "_pending_teacher", None)
-        if pending is not None:
-            restored = model.params.copy()
-            restored.values[:] = pending
-            self.teacher_params = restored
-            del self._pending_teacher
+        teacher_logits = model.graph.infer(self.teacher_params, batch)
+        return distillation_with_grad(logits, teacher_logits, self.alpha, self.temperature)
 
 
 def _memory_gradient(model, features, labels, class_weights):
@@ -767,16 +651,6 @@ class Gem(Strategy):
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         replay_store(self.buffer, features, labels, rng, budget=self.patterns_per_exp)
 
-    def state_payload(self):
-        meta, arrays = _buffer_payload(self.buffer)
-        meta.update(margin=self.margin, patterns_per_exp=self.patterns_per_exp)
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.margin = float(meta["margin"])
-        self.patterns_per_exp = meta["patterns_per_exp"]
-        self.buffer = _restore_buffer(meta, arrays)
-
 
 class Agem(Strategy):
     """Averaged single-constraint variant: one reference gradient from a
@@ -804,19 +678,9 @@ class Agem(Strategy):
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         replay_store(self.buffer, features, labels, rng, budget=self.patterns_per_exp)
 
-    def state_payload(self):
-        meta, arrays = _buffer_payload(self.buffer)
-        meta.update(patterns_per_exp=self.patterns_per_exp, sample_size=self.sample_size)
-        return meta, arrays
-
-    def restore_state(self, meta, arrays) -> None:
-        self.patterns_per_exp = meta["patterns_per_exp"]
-        self.sample_size = int(meta["sample_size"])
-        self.buffer = _restore_buffer(meta, arrays)
-
 
 # ---------------------------------------------------------------------------
-# construction and checkpointing
+# construction
 
 _ACCEPTED_KEYS = {
     "naive": set(),
@@ -875,25 +739,3 @@ def build_strategy(name: str, hyperparams=None) -> Strategy:
     if name == "gem":
         return Gem(**hp)
     return Agem(**hp)
-
-
-_STATE_PAYLOAD = "strategy-state"
-
-
-def save_strategy_state(strategy: Strategy, path) -> None:
-    meta, arrays = strategy.state_payload()
-    header = {"payload": _STATE_PAYLOAD, "strategy": strategy.kind, "meta": meta}
-    blobio.write_bundle(path, header, arrays)
-
-
-def load_strategy_state(strategy: Strategy, path) -> None:
-    """Restore checkpointed state into a strategy of the matching kind."""
-    header, arrays = blobio.read_bundle(path)
-    if header.get("payload") != _STATE_PAYLOAD:
-        raise DataFormatError(f"not a strategy state bundle: {header.get('payload')!r}")
-    if header.get("strategy") != strategy.kind:
-        raise DataFormatError(
-            f"state written by strategy {header.get('strategy')!r}, "
-            f"loading into {strategy.kind!r}"
-        )
-    strategy.restore_state(header["meta"], arrays)

@@ -5,6 +5,7 @@ forward() and the loss value, never backward().
 """
 
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -268,7 +269,7 @@ def test_unreachable_parameter_gradient_is_exactly_zero():
 def test_every_kernel_matches_central_differences(name, layers, signature):
     g = ad.Graph(layers, signature)
     p = g.new_params()
-    rng = RNG(hash(name) % 2**31)
+    rng = RNG(zlib.crc32(name.encode()))
     p.values[...] = rng.normal(scale=0.6, size=p.size)
     n = 6
     if signature[0] == "flat":

@@ -310,6 +310,15 @@ def test_builtin_profiles_and_streams():
         assert len(prof.domains[key]) == count
     prof = dg.builtin_profile("hospital20")
     assert len(prof.domains["hospital"]) == 20
+    conflicting = dg.conflicting_stream_profile(
+        key="site", prefix="site", n_domains=3, n_patients=300, dt=8, ds=2,
+        seq_len=6, amplitude=2.8, prevalence=0.25, angles_deg=(0.0, 90.0, 180.0),
+    )
+    prof = dg.resolve_profile(json.loads(json.dumps(conflicting)))
+    directions = [np.asarray(d["label_direction"]) for d in conflicting["domains"]["site"]]
+    assert [d.name for d in prof.domains["site"]] == ["site00", "site01", "site02"]
+    assert np.allclose(directions[2], -directions[0])  # 180 degrees: opposing signals
+    assert abs(directions[0] @ directions[1]) < 1e-12
     with pytest.raises(ConfigurationError):
         dg.builtin_profile("nonsense")
     with pytest.raises(ConfigurationError):

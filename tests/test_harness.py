@@ -109,6 +109,30 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="domain_key"):
             harness.config_from_dict(raw)
 
+    @pytest.mark.parametrize("budget", [-1, 2.5, "abc", True])
+    def test_buffer_budget_must_be_a_non_negative_int_or_null(
+        self, profile_path, tmp_path, budget
+    ):
+        raw = base_config(profile_path, tmp_path, strategy="replay", buffer_budget=budget)
+        with pytest.raises(ConfigurationError, match="buffer_budget"):
+            harness.config_from_dict(raw)
+        for ok in (None, 0, 16):
+            harness.config_from_dict({**raw, "buffer_budget": ok})
+
+    def test_gdumb_rejects_unlimited_buffer_budget(self, profile_path, tmp_path):
+        raw = base_config(profile_path, tmp_path, strategy="gdumb", buffer_budget=None)
+        with pytest.raises(ConfigurationError, match="gdumb"):
+            harness.config_from_dict(raw)
+
+    def test_sweep_rejects_a_non_integer_budget(
+        self, profile_path, tmp_path
+    ):
+        config = harness.config_from_dict(
+            base_config(profile_path, tmp_path / "sw", strategy="replay")
+        )
+        with pytest.raises(ConfigurationError, match="buffer_budget"):
+            harness.sweep(config, "buffer_budget", values=["abc"])
+
     def test_fingerprint_ignores_output_dir_only(self, profile_path, tmp_path):
         a = harness.config_from_dict(base_config(profile_path, tmp_path / "a"))
         b = harness.config_from_dict(base_config(profile_path, tmp_path / "b"))

@@ -1,4 +1,4 @@
-"""Architecture construction, initialization, prediction, checkpoints."""
+"""Architecture construction, initialization, prediction."""
 
 import math
 
@@ -170,18 +170,6 @@ def test_repeat_and_concat_statics():
     assert one.shape == (2, 1, 3)
     with pytest.raises(DataError):
         m.repeat_and_concat_statics(tv, np.zeros((3, 1)))
-
-
-def test_checkpoint_roundtrip_is_bitwise(tmp_path):
-    spec = m.ArchitectureSpec(kind="cnn1d", n_feature_layers=2, hidden_dim=6)
-    model = m.build_model(spec, (9, 4), seed=17)
-    m.save_model(model, tmp_path / "ckpt")
-    back = m.load_model(tmp_path / "ckpt")
-    assert back.spec == model.spec
-    assert back.input_dims == model.input_dims
-    assert np.array_equal(back.params.values, model.params.values)
-    x = np.random.default_rng(5).normal(size=(4, 9, 4))
-    assert np.array_equal(m.predict(back, x), m.predict(model, x))
 
 
 def test_spec_validation_errors():

@@ -13,12 +13,7 @@ from hypothesis import strategies as st
 
 import seqcl.autodiff as ad
 import seqcl.strategies as cl
-from seqcl.errors import (
-    ConfigurationError,
-    DataFormatError,
-    QpNonConvergenceError,
-    UsageError,
-)
+from seqcl.errors import ConfigurationError, QpNonConvergenceError, UsageError
 from seqcl.models import ArchitectureSpec, build_model
 
 
@@ -681,6 +676,45 @@ def test_lwf_strategy_distills_from_task_start_copy():
     assert value > 0.0
 
 
+def test_lwf_strategy_term_is_the_distillation_part_of_lwf_loss():
+    s = cl.Lwf(alpha=0.7, temperature=1.5)
+    model = small_model(seed=15)
+    f, y = toy_task(7, seed=16)
+    weights = (0.8, 1.6)
+    s.before_task(model, 1, f, y, None)
+    teacher = model.params.copy()
+    model.params.values += 0.1
+    x = model.prepare_batch(f)
+    logits = ad.forward(model.graph, model.params, x)
+    value, dlogits = s.batch_loss(model, x, logits, y, weights)
+    ce_value, ce_dlogits = ad.weighted_ce_with_grad(logits, y, weights)
+    teacher_logits = ad.forward(model.graph, teacher, x)
+    want_value, want_dlogits = cl.lwf_loss_with_grad(logits, teacher_logits, y, 0.7, 1.5, weights)
+    # CE + term, not lwf - CE: float subtraction would not undo the addition exactly
+    assert ce_value + value == want_value
+    assert np.array_equal(ce_dlogits + dlogits, want_dlogits)
+
+
+@pytest.mark.parametrize("spec", [
+    ArchitectureSpec(kind="mlp", n_feature_layers=1, hidden_dim=4),
+    ArchitectureSpec(kind="cnn1d", n_feature_layers=1, hidden_dim=4, kernel_size=2),
+    ArchitectureSpec(kind="lstm", n_feature_layers=1, hidden_dim=4),
+], ids=lambda spec: spec.kind)
+def test_lwf_teacher_pass_leaves_student_gradient_alone(spec):
+    s = cl.Lwf(alpha=0.5, temperature=2.0)
+    model = build_model(spec, input_dims=(3, 2), seed=17)
+    f, y = toy_task(6, seed=18)
+    s.before_task(model, 1, f, y, None)
+    model.params.values += 0.05
+    x = model.prepare_batch(f)
+    ad.forward(model.graph, model.params, x)
+    want = ad.backward(model.graph, model.graph.loss(y, (1.0, 1.0)))
+    logits = ad.forward(model.graph, model.params, x)
+    loss = model.graph.loss(y, (1.0, 1.0))
+    s.batch_loss(model, x, logits, y, (1.0, 1.0))
+    assert np.array_equal(ad.backward(model.graph, loss), want)
+
+
 def test_si_strategy_full_task_cycle():
     s = cl.Si(si_lambda=0.3)
     model = small_model(seed=11)
@@ -695,7 +729,7 @@ def test_si_strategy_full_task_cycle():
 
 
 # ---------------------------------------------------------------------------
-# factory and checkpointing
+# factory
 
 
 def test_build_strategy_all_kinds():
@@ -727,62 +761,3 @@ def test_build_strategy_grid_vocabulary():
     assert s.sample_size == 512
     s = cl.build_strategy("gdumb", {"mem_size": 64})
     assert s.budget == 64
-
-
-def test_replay_state_roundtrip(tmp_path):
-    s = cl.Replay(budget=8)
-    model = small_model()
-    rng = np.random.default_rng(0)
-    for t in range(2):
-        f, y = toy_task(12, seed=t)
-        s.after_task(model, t, f, y, rng)
-    path = tmp_path / "replay_state"
-    cl.save_strategy_state(s, path)
-    fresh = cl.Replay(budget=1)
-    cl.load_strategy_state(fresh, path)
-    assert fresh.budget == 8
-    assert fresh.buffer.counts() == s.buffer.counts()
-    for (f_a, y_a), (f_b, y_b) in zip(s.buffer.tasks, fresh.buffer.tasks):
-        assert np.array_equal(f_a, f_b)
-        assert np.array_equal(y_a, y_b)
-
-
-def test_ewc_state_roundtrip(tmp_path):
-    s = cl.Ewc(ewc_lambda=3.0)
-    model = small_model(seed=13)
-    f, y = toy_task(9, seed=14)
-    s.after_task(model, 0, f, y, None)
-    path = tmp_path / "ewc_state"
-    cl.save_strategy_state(s, path)
-    fresh = cl.Ewc(ewc_lambda=0.0)
-    cl.load_strategy_state(fresh, path)
-    assert fresh.state.lam == 3.0
-    assert np.array_equal(fresh.state.anchors[0], s.state.anchors[0])
-    assert np.array_equal(fresh.state.fishers[0], s.state.fishers[0])
-    theta = model.params.values + 0.3
-    assert cl.ewc_penalty(theta, fresh.state) == cl.ewc_penalty(theta, s.state)
-
-
-def test_lwf_state_roundtrip_rebinds_teacher(tmp_path):
-    s = cl.Lwf(alpha=0.7, temperature=1.5)
-    model = small_model(seed=15)
-    f, y = toy_task(5, seed=16)
-    s.before_task(model, 1, f, y, None)
-    path = tmp_path / "lwf_state"
-    cl.save_strategy_state(s, path)
-    fresh = cl.Lwf()
-    cl.load_strategy_state(fresh, path)
-    model.params.values += 0.1
-    x = model.prepare_batch(f)
-    logits = ad.forward(model.graph, model.params, x)
-    want, _ = s.batch_loss(model, x, logits, y, (1.0, 1.0))
-    got, _ = fresh.batch_loss(model, x, logits, y, (1.0, 1.0))
-    assert got == pytest.approx(want, rel=1e-12)
-
-
-def test_state_kind_tag_mismatch_rejected(tmp_path):
-    s = cl.Replay(budget=4)
-    path = tmp_path / "state"
-    cl.save_strategy_state(s, path)
-    with pytest.raises(DataFormatError):
-        cl.load_strategy_state(cl.Gdumb(), path)
