@@ -23,8 +23,8 @@ from seqcl.datagen import conflicting_stream_profile
 
 def build_profile(n_patients):
     return conflicting_stream_profile(
-        key="site", prefix="site", n_domains=3, n_patients=n_patients,
-        dt=8, ds=2, seq_len=24, amplitude=2.8, prevalence=0.25,
+        key="site", prefix="site", n_patients=n_patients,
+        dt=8, seq_len=24, amplitude=2.8, prevalence=0.25,
         angles_deg=[0.0, 90.0, 180.0],
     )
 

@@ -25,8 +25,8 @@ from seqcl.metrics import AccuracyMatrix, bootstrap_ci, forgetting
 
 def build_profile(n_patients):
     return conflicting_stream_profile(
-        key="hospital", prefix="hosp", n_domains=20, n_patients=n_patients,
-        dt=6, ds=2, seq_len=12, amplitude=2.8, prevalence=0.30,
+        key="hospital", prefix="hosp", n_patients=n_patients,
+        dt=6, seq_len=12, amplitude=2.8, prevalence=0.30,
         angles_deg=[18.0 * j for j in range(20)],
     )
 

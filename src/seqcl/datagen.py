@@ -646,9 +646,8 @@ def builtin_profile(name: str) -> ShiftProfile:
     raise ConfigurationError(f"unknown builtin profile {name!r}")
 
 
-def conflicting_stream_profile(key, prefix, n_domains, n_patients, dt, ds, seq_len,
-                               amplitude, prevalence, angles_deg,
-                               orth_scale=2.0, static_scale=4.0) -> dict:
+def conflicting_stream_profile(key, prefix, n_patients, dt, seq_len, amplitude,
+                               prevalence, angles_deg) -> dict:
     """JSON profile whose domains carry conflicting outcome signals.
 
     Each domain's label direction is a rotation, by its entry of
@@ -656,8 +655,9 @@ def conflicting_stream_profile(key, prefix, n_domains, n_patients, dt, ds, seq_l
     time-varying features. Domains near 180 degrees apart write opposing
     values into the same weights, so sequential training overwrites earlier
     tasks, while the per-domain orthogonal and static offsets keep the pooled
-    problem learnable.
+    problem learnable. There is one domain per angle and two static features.
     """
+    n_domains = len(angles_deg)
     u = np.ones(dt) / np.sqrt(dt)
     v = np.zeros(dt)
     v[: dt // 2] = 1.0
@@ -674,11 +674,11 @@ def conflicting_stream_profile(key, prefix, n_domains, n_patients, dt, ds, seq_l
         rad = np.deg2rad(float(ang))
         direction = np.cos(rad) * u + np.sin(rad) * v
         pos = 2.0 * np.pi * j / n_domains
-        static = static_scale * np.array([np.cos(pos), np.sin(pos)])
+        static = 4.0 * np.array([np.cos(pos), np.sin(pos)])
         domains.append(
             {
                 "name": f"{prefix}{j:02d}",
-                "mean_offset": [float(x) for x in orth_scale * orth[j % 3]]
+                "mean_offset": [float(x) for x in 2.0 * orth[j % 3]]
                 + [float(x) for x in static],
                 "prevalence": prevalence,
                 "label_direction": [float(x) for x in direction],
@@ -687,7 +687,7 @@ def conflicting_stream_profile(key, prefix, n_domains, n_patients, dt, ds, seq_l
     return {
         "n_patients": n_patients,
         "n_timevarying": dt,
-        "n_static": ds,
+        "n_static": 2,
         "seq_len": seq_len,
         "label_amplitude": amplitude,
         "domains": {key: domains},

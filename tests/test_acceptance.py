@@ -383,8 +383,8 @@ def test_06_forgetting_demonstration(tmp_path):
         tmp_path,
         "sites.json",
         conflicting_stream_profile(
-            key="site", prefix="site", n_domains=3, n_patients=4800,
-            dt=8, ds=2, seq_len=24, amplitude=2.8, prevalence=0.25,
+            key="site", prefix="site", n_patients=4800,
+            dt=8, seq_len=24, amplitude=2.8, prevalence=0.25,
             angles_deg=(0.0, 90.0, 180.0),
         ),
     )
@@ -424,8 +424,8 @@ def test_07_many_task_degradation(tmp_path):
         tmp_path,
         "hospitals.json",
         conflicting_stream_profile(
-            key="hospital", prefix="hosp", n_domains=20, n_patients=5000,
-            dt=6, ds=2, seq_len=12, amplitude=2.8, prevalence=0.30,
+            key="hospital", prefix="hosp", n_patients=5000,
+            dt=6, seq_len=12, amplitude=2.8, prevalence=0.30,
             angles_deg=tuple(18.0 * j for j in range(20)),
         ),
     )

@@ -311,7 +311,7 @@ def test_builtin_profiles_and_streams():
     prof = dg.builtin_profile("hospital20")
     assert len(prof.domains["hospital"]) == 20
     conflicting = dg.conflicting_stream_profile(
-        key="site", prefix="site", n_domains=3, n_patients=300, dt=8, ds=2,
+        key="site", prefix="site", n_patients=300, dt=8,
         seq_len=6, amplitude=2.8, prevalence=0.25, angles_deg=(0.0, 90.0, 180.0),
     )
     prof = dg.resolve_profile(json.loads(json.dumps(conflicting)))
