@@ -20,7 +20,7 @@ import numpy as np
 
 from seqcl import harness
 from seqcl.datagen import conflicting_stream_profile
-from seqcl.metrics import AccuracyMatrix, bootstrap_ci, forgetting
+from seqcl.metrics import bootstrap_ci
 
 
 def build_profile(n_patients):
@@ -29,16 +29,6 @@ def build_profile(n_patients):
         dt=6, seq_len=12, amplitude=2.8, prevalence=0.30,
         angles_deg=[18.0 * j for j in range(20)],
     )
-
-
-def final_mean_forgetting(records, n_tasks, epochs):
-    matrix = AccuracyMatrix(n_tasks)
-    for r in records:
-        if (r["split"] == "test" and r["epoch"] == epochs - 1
-                and r["eval_task"] is not None):
-            matrix.set(r["trained_task"], r["eval_task"],
-                       r["metrics"]["balanced_accuracy"])
-    return forgetting(matrix, n_tasks - 1)[1]
 
 
 def main():
@@ -80,8 +70,7 @@ def main():
             "master_seed": args.master_seed,
         })
         outs = harness.run_experiment(config, hyperparams=hp)
-        n_tasks = max(r["trained_task"] for r in outs[0].records) + 1
-        values = [final_mean_forgetting(o.records, n_tasks, args.epochs)
+        values = [harness.final_mean_forgetting(o.records, args.epochs)
                   for o in outs]
         if len(values) >= 2:
             lo, hi = bootstrap_ci(values)

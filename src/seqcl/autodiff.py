@@ -79,15 +79,6 @@ class ParameterVector:
             raise UsageError(f"unknown parameter {name!r}") from None
         return self.values[offset : offset + size].reshape(shape)
 
-    def set(self, name: str, value) -> None:
-        target = self.get(name)
-        value = _f64(value)
-        if value.shape != target.shape:
-            raise UsageError(
-                f"parameter {name!r} expects shape {target.shape}, got {value.shape}"
-            )
-        target[...] = value
-
     def copy(self) -> "ParameterVector":
         return ParameterVector(self.values.copy(), self.layout)
 
@@ -105,16 +96,6 @@ class ParameterVector:
         twin.layout = self.layout
         twin._index = self._index
         return twin
-
-    def names(self):
-        return [name for name, _, _ in self.layout]
-
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 class Layer:
@@ -536,30 +517,17 @@ class BiLastStep(Layer):
         return dx
 
 
-class LossValue:
-    """Scalar loss node produced by ``Graph.loss``; feeds ``backward``."""
-
-    __slots__ = ("value", "dlogits", "_graph", "_token")
-
-    def __init__(self, value, dlogits, graph, token):
-        self.value = float(value)
-        self.dlogits = dlogits
-        self._graph = graph
-        self._token = token
-
-    def __float__(self):
-        return self.value
-
-
 class Graph:
     """A sequential pipeline over the closed kernel set ending in [N, 2] logits.
 
     ``input_signature`` is ("flat", D) for flattened input or ("seq", T, D)
-    for sequence input. Forward records per-layer intermediates; backward over
-    those intermediates accumulates gradients into a flat vector aligned with
-    the parameter layout. ``infer`` runs the same arithmetic without recording
-    anything, so it neither holds intermediates nor disturbs the state of the
-    last forward. Single-threaded by design: one graph instance owns one
+    for sequence input. A training step is ``forward`` (records per-layer
+    intermediates), ``loss`` (value and d loss / d logits of those logits),
+    then ``backward_from_dlogits``, which accumulates gradients over the
+    recorded intermediates into a flat vector aligned with the parameter
+    layout; callers may add their own terms to the dlogits first. ``infer``
+    runs the same arithmetic without recording anything, so it neither holds
+    intermediates nor disturbs the state of the last forward. Single-threaded by design: one graph instance owns one
     forward-state at a time.
     """
 
@@ -585,7 +553,6 @@ class Graph:
             )
         self._param_shapes = shapes
         self._grad_template = ParameterVector.zeros(shapes)
-        self._token = 0
         self._logits = None
 
     def param_shapes(self):
@@ -624,7 +591,6 @@ class Graph:
 
     def forward(self, params: ParameterVector, batch) -> Array:
         x = self._run(params, batch, record=True)
-        self._token += 1
         self._logits = x
         self._params_used = params
         return x
@@ -633,13 +599,15 @@ class Graph:
         """Logits of ``batch`` with no backward state kept or overwritten."""
         return self._run(params, batch, record=False)
 
-    def loss(self, labels, class_weights) -> LossValue:
+    def loss(self, labels, class_weights):
+        """(weighted CE, d loss / d logits) of the last recorded forward."""
         if self._logits is None:
             raise UsageError("loss() called before forward()")
-        value, dlogits = weighted_ce_with_grad(self._logits, labels, class_weights)
-        return LossValue(value, dlogits, self, self._token)
+        return weighted_ce_with_grad(self._logits, labels, class_weights)
 
     def backward_from_dlogits(self, dlogits: Array) -> Array:
+        """Gradient w.r.t. every parameter of the last recorded forward, as a
+        flat vector. Parameters the logits do not reach get exactly 0."""
         if self._logits is None:
             raise UsageError("backward called before forward()")
         if dlogits.shape != self._logits.shape:
@@ -652,27 +620,6 @@ class Graph:
         for layer in reversed(self.layers):
             dx = layer.backward(self._params_used, grads, dx)
         return grads.values
-
-
-def forward(graph: Graph, params: ParameterVector, batch) -> Array:
-    """Run the graph on a batch, returning [N, 2] logits."""
-    return graph.forward(params, batch)
-
-
-def backward(graph: Graph, loss: LossValue) -> Array:
-    """Gradient of a loss node w.r.t. every parameter, as a flat vector.
-
-    The loss must come from ``graph.loss`` after the most recent forward on
-    this same graph; anything else is a usage error. Parameters the loss does
-    not reach get exactly 0.
-    """
-    if not isinstance(loss, LossValue):
-        raise UsageError("backward expects the LossValue returned by graph.loss")
-    if loss._graph is not graph:
-        raise UsageError("loss node belongs to a different graph")
-    if loss._token != graph._token:
-        raise UsageError("graph was re-run after this loss was computed")
-    return graph.backward_from_dlogits(loss.dlogits)
 
 
 def _check_labels(labels, n):
@@ -698,19 +645,14 @@ def softmax(logits: Array) -> Array:
     return z / z.sum(axis=1, keepdims=True)
 
 
-def weighted_cross_entropy(logits, labels, class_weights) -> float:
-    """Mean over samples of -w[y_n] * log softmax(logits_n)[y_n].
+def weighted_ce_with_grad(logits, labels, class_weights):
+    """Fused loss head: returns (loss value, d loss / d logits).
 
-    Probabilities are clipped to [1e-12, 1 - 1e-12] so the value stays finite
-    for arbitrarily confident logits. With class_weights (1, 1) this is plain
+    The value is the mean over samples of -w[y_n] * log softmax(logits_n)[y_n],
+    with probabilities clipped to [1e-12, 1 - 1e-12] so it stays finite for
+    arbitrarily confident logits. With class_weights (1, 1) this is plain
     cross-entropy.
     """
-    value, _ = weighted_ce_with_grad(logits, labels, class_weights)
-    return value
-
-
-def weighted_ce_with_grad(logits, labels, class_weights):
-    """Fused loss head: returns (loss value, d loss / d logits)."""
     logits = _f64(logits)
     if logits.ndim != 2 or logits.shape[1] != 2:
         raise DataError(f"logits must be [N, 2], got {tuple(logits.shape)}")
@@ -733,60 +675,3 @@ def weighted_ce_with_grad(logits, labels, class_weights):
     dlogits[rows, labels] -= 1.0
     dlogits *= (wy / n)[:, None]
     return value, dlogits
-
-
-def grad_check(
-    graph: Graph,
-    params: ParameterVector,
-    batch,
-    eps: float = 1e-5,
-    labels=None,
-    class_weights=(1.0, 1.0),
-    coords=None,
-    rng=None,
-) -> float:
-    """Worst relative error between backward() and central finite differences.
-
-    The scalar under test is the fused weighted cross-entropy on ``batch``
-    against ``labels`` (default: alternating 0/1). ``coords`` restricts the
-    check to specific flat parameter indices; ``rng`` with ``coords`` as an
-    int samples that many coordinates without replacement. Relative error is
-    |a - fd| / max(|a|, |fd|, 1e-6), the floor absorbing finite-difference
-    noise on coordinates whose true gradient is ~0.
-    """
-    if not (0.0 < eps <= 1e-2):
-        raise UsageError(f"eps must be in (0, 1e-2], got {eps}")
-    batch = _f64(batch)
-    n = batch.shape[0]
-    if labels is None:
-        labels = np.arange(n, dtype=np.int64) % 2
-    graph.forward(params, batch)
-    loss = graph.loss(labels, class_weights)
-    analytic = backward(graph, loss)
-
-    if coords is None:
-        idx = np.arange(params.size)
-    elif isinstance(coords, (int, np.integer)):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        idx = rng.choice(params.size, size=min(int(coords), params.size), replace=False)
-    else:
-        idx = np.asarray(coords, dtype=np.int64)
-
-    theta = params.values
-    worst = 0.0
-    for i in idx:
-        saved = theta[i]
-        theta[i] = saved + eps
-        graph.forward(params, batch)
-        up = graph.loss(labels, class_weights).value
-        theta[i] = saved - eps
-        graph.forward(params, batch)
-        down = graph.loss(labels, class_weights).value
-        theta[i] = saved
-        fd = (up - down) / (2.0 * eps)
-        a = analytic[i]
-        rel = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-        if rel > worst:
-            worst = rel
-    return worst

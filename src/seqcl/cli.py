@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate-data", help="write a synthetic cohort to disk")
-    p.add_argument("profile", help="builtin profile name")
+    p.add_argument("profile", help="builtin profile name or profile JSON path")
     p.add_argument("out", help="output dataset path")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_generate_data)

@@ -132,35 +132,6 @@ class ShiftProfile:
             raise ConfigurationError("admission_probs must be non-negative and sum > 0")
         return self
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_patients": self.n_patients,
-            "n_timevarying": self.n_timevarying,
-            "n_static": self.n_static,
-            "seq_len": self.seq_len,
-            "noise_scale": self.noise_scale,
-            "base_prevalence": self.base_prevalence,
-            "label_amplitude": self.label_amplitude,
-            "label_signal": self.label_signal,
-            "admission_probs": list(self.admission_probs),
-            "domains": {
-                key: [
-                    {
-                        "name": s.name,
-                        "mean_offset": [float(v) for v in s.mean_offset],
-                        "prevalence": s.prevalence,
-                        **(
-                            {"label_direction": [float(v) for v in s.label_direction]}
-                            if s.label_direction is not None
-                            else {}
-                        ),
-                    }
-                    for s in specs
-                ]
-                for key, specs in self.domains.items()
-            },
-        }
-
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ShiftProfile":
         known = {
@@ -702,12 +673,12 @@ def resolve_profile(spec) -> ShiftProfile:
         return ShiftProfile.from_json_dict(spec)
     spec = str(spec)
     path = Path(spec)
-    if path.suffix == ".json" or path.exists():
+    if path.is_file():
         try:
             payload = json.loads(path.read_text())
-        except FileNotFoundError:
-            raise ConfigurationError(f"profile file {spec!r} not found") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"profile file {spec!r} is not valid JSON: {exc}")
         return ShiftProfile.from_json_dict(payload)
+    if path.suffix == ".json":
+        raise ConfigurationError(f"profile file {spec!r} not found")
     return builtin_profile(spec)

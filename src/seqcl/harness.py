@@ -62,6 +62,13 @@ _DATA_KEYS = {"profile", "path", "seed"}
 PARTITION_SITE = 0x9A27
 
 
+def _require(value, kinds, message):
+    """Type check of one config value; bools are rejected even where ints
+    are accepted."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigurationError(f"{message}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     data: dict
@@ -80,6 +87,15 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def validate(self):
+        for name in ("epochs_per_task", "batch_size", "n_runs", "master_seed"):
+            _require(getattr(self, name), (int,), f"{name} must be an int")
+        for name in ("learning_rate", "momentum"):
+            _require(getattr(self, name), (int, float), f"{name} must be a number")
+        listed = isinstance(self.curriculum, (list, tuple)) and all(
+            isinstance(v, str) for v in self.curriculum)
+        if not listed:
+            _require(self.curriculum, (int,),
+                     "curriculum must be an int order seed or a list of domain names")
         if self.n_runs < 1:
             raise ConfigurationError("n_runs must be >= 1")
         unknown = set(self.data) - _DATA_KEYS
@@ -87,6 +103,7 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown data keys {sorted(unknown)}")
         if ("profile" in self.data) == ("path" in self.data):
             raise ConfigurationError("data needs exactly one of 'profile' or 'path'")
+        _require(self.data.get("seed", 0), (int,), "data.seed must be an int")
         unknown = set(self.architecture) - _ARCH_KEYS
         if unknown:
             raise ConfigurationError(f"unknown architecture keys {sorted(unknown)}")
@@ -509,23 +526,20 @@ def _final_mean_balanced_accuracy(records, epochs_per_task):
     return None
 
 
-def _accuracy_matrix(records, epochs_per_task, split="test"):
+def final_mean_forgetting(records, epochs_per_task):
+    """Mean forgetting over the earlier tasks after the last task, from the
+    test balanced accuracies at each task's final epoch; None when the
+    accuracy matrix is incomplete or the stream has one task."""
     n_tasks = max(r["trained_task"] for r in records) + 1
+    if n_tasks < 2:
+        return None
     matrix = AccuracyMatrix(n_tasks)
     for row in records:
-        if (row["split"] == split and row["eval_task"] is not None
+        if (row["split"] == "test" and row["eval_task"] is not None
                 and row["epoch"] == epochs_per_task - 1):
             value = row["metrics"]["balanced_accuracy"]
             if value is not None:
                 matrix.set(row["trained_task"], row["eval_task"], value)
-    return matrix
-
-
-def _final_mean_forgetting(records, epochs_per_task):
-    matrix = _accuracy_matrix(records, epochs_per_task)
-    n_tasks = matrix.n_tasks
-    if n_tasks < 2:
-        return None
     try:
         _, mean = forgetting(matrix, n_tasks - 1)
     except UndefinedMetricError:
@@ -544,7 +558,7 @@ def summarize_experiment(exp_dir, bootstrap_seed=0) -> dict:
         value = _final_mean_balanced_accuracy(records, epochs)
         if value is not None:
             finals.append(value)
-        f = _final_mean_forgetting(records, epochs)
+        f = final_mean_forgetting(records, epochs)
         if f is not None:
             forgets.append(f)
     row = {
@@ -667,20 +681,23 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
     if not values:
         raise ConfigurationError("sweep needs at least one axis value")
     base_dir = Path(config.output_dir)
-    base_dir.mkdir(parents=True, exist_ok=True)
-    groups = []
-    for position, value in enumerate(values):
-        group_dir = f"{axis}_{position}"
-        group_config = config_from_dict({
+    # every axis value is validated before the first group runs
+    group_configs = [
+        config_from_dict({
             **_jsonable(asdict(config)),
             axis: value,
-            "output_dir": str(base_dir / group_dir),
+            "output_dir": str(base_dir / f"{axis}_{position}"),
         })
+        for position, value in enumerate(values)
+    ]
+    base_dir.mkdir(parents=True, exist_ok=True)
+    groups = []
+    for value, group_config in zip(values, group_configs):
         run_experiment(group_config, hyperparams)
         groups.append({
             "axis": axis,
             "value": _jsonable(value),
-            "dir": group_dir,
+            "dir": Path(group_config.output_dir).name,
             "fingerprint": config_fingerprint(group_config),
         })
     manifest = {"axis": axis, "groups": groups, "master_seed": config.master_seed}

@@ -89,35 +89,6 @@ def _classify(scores, labels, threshold=0.5, areas=True):
     return counts, roc, prc
 
 
-def confusion(probabilities, labels, threshold: float = 0.5):
-    """(tp, fp, tn, fn) counts; a score exactly at threshold predicts positive.
-
-    ``probabilities`` is the [N, 2] softmax output or a 1-d positive-class
-    score vector.
-    """
-    probs = np.asarray(probabilities, dtype=np.float64)
-    if probs.ndim == 2:
-        if probs.shape[1] != 2:
-            raise DataError(f"probabilities must be [N, 2], got {probs.shape}")
-        scores = probs[:, 1]
-    else:
-        scores = probs
-    scores, labels = _validate_scores_labels(scores, labels)
-    counts, _, _ = _classify(scores, labels, threshold, areas=False)
-    return counts
-
-
-def balanced_accuracy(probabilities, labels, threshold: float = 0.5) -> float:
-    """(sensitivity + specificity) / 2; undefined when a class is absent."""
-    tp, fp, tn, fn = confusion(probabilities, labels, threshold)
-    if tp + fn == 0 or tn + fp == 0:
-        raise UndefinedMetricError(
-            "balanced accuracy needs both classes present "
-            f"(positives={tp + fn}, negatives={tn + fp})"
-        )
-    return 0.5 * (tp / (tp + fn) + tn / (tn + fp))
-
-
 def auroc(scores, labels) -> float:
     """P(score_pos > score_neg) + 0.5 P(tie), via average ranks."""
     (tp, fp, tn, fn), value, _ = _classify(*_validate_scores_labels(scores, labels))
@@ -154,10 +125,6 @@ class AccuracyMatrix:
         self._check(trained, evaluated)
         self.values[trained, evaluated] = float(value)
 
-    def get(self, trained: int, evaluated: int) -> float:
-        self._check(trained, evaluated)
-        return float(self.values[trained, evaluated])
-
     def _check(self, trained, evaluated):
         if not (0 <= trained < self.n_tasks and 0 <= evaluated < self.n_tasks):
             raise UsageError(
@@ -168,21 +135,6 @@ class AccuracyMatrix:
                 f"entry ({trained}, {evaluated}) is above the diagonal: task "
                 f"{evaluated} was unseen after training task {trained}"
             )
-
-    def to_lists(self):
-        return [
-            [None if np.isnan(v) else float(v) for v in row[: i + 1]]
-            for i, row in enumerate(self.values)
-        ]
-
-    @classmethod
-    def from_lists(cls, rows):
-        mat = cls(len(rows))
-        for i, row in enumerate(rows):
-            for j, v in enumerate(row):
-                if v is not None:
-                    mat.set(i, j, v)
-        return mat
 
 
 def forgetting(matrix: AccuracyMatrix, i: int):

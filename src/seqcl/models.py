@@ -175,7 +175,3 @@ def repeat_and_concat_statics(timevarying, statics) -> np.ndarray:
         return tv.copy()
     tiled = np.repeat(st[:, None, :], tv.shape[1], axis=1)
     return np.concatenate([tv, tiled], axis=2)
-
-
-def parameter_count(spec: ArchitectureSpec, input_dims) -> int:
-    return build_graph(spec, input_dims).new_params().size

@@ -4,6 +4,10 @@ Each strategy is a bundle of hooks consumed by the training loop: a loss
 penalty, a gradient transform applied before the optimizer step, and
 task-boundary callbacks that snapshot anchors or refill rehearsal buffers.
 Unimplemented hooks are no-ops, so ``Naive`` is literally the base class.
+Every gradient, the trainer's and the ones strategies take for themselves
+(Fisher rows, GEM and A-GEM references), comes from the same graph calls:
+``forward``, then dlogits (``Graph.loss`` plus any ``batch_loss`` term),
+then ``backward_from_dlogits``.
 
 The math lives in module-level functions (``ewc_penalty``, ``gem_project``,
 ``solve_dual_qp``, ...) so it can be checked against hand values and
@@ -15,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import forward, log_softmax, softmax, weighted_ce_with_grad
+from .autodiff import log_softmax, softmax, weighted_ce_with_grad
 from .errors import ConfigurationError, QpNonConvergenceError, UsageError
 
 log = logging.getLogger(__name__)
@@ -183,7 +187,7 @@ def compute_fisher(model, features, labels, batch_size=64) -> np.ndarray:
     acc = model.params.zeros_like()
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        logits = forward(model.graph, model.params, x[start:stop])
+        logits = model.graph.forward(model.params, x[start:stop])
         probs = softmax(logits)
         for row in range(stop - start):
             dlogits = np.zeros_like(logits)
@@ -216,36 +220,6 @@ def distillation_with_grad(student_logits, teacher_logits, alpha, temperature):
     return value, dlogits
 
 
-def lwf_loss_with_grad(student_logits, teacher_logits, labels, alpha, temperature,
-                       class_weights=(1.0, 1.0)):
-    """Weighted CE plus temperature-scaled distillation, with d/dlogits.
-
-    value = CE(labels) + ``distillation_with_grad``, both terms averaged over
-    the batch.
-    """
-    if temperature <= 0:
-        raise UsageError("temperature must be positive")
-    student_logits = np.asarray(student_logits, dtype=np.float64)
-    teacher_logits = np.asarray(teacher_logits, dtype=np.float64)
-    if teacher_logits.shape != student_logits.shape:
-        raise UsageError("teacher and student logits differ in shape")
-    value, dlogits = weighted_ce_with_grad(student_logits, labels, class_weights)
-    if alpha == 0.0:
-        return value, dlogits
-    kd_value, kd_dlogits = distillation_with_grad(
-        student_logits, teacher_logits, alpha, temperature
-    )
-    return value + kd_value, dlogits + kd_dlogits
-
-
-def lwf_loss(student_logits, teacher_logits, labels, alpha, temperature,
-             class_weights=(1.0, 1.0)) -> float:
-    value, _ = lwf_loss_with_grad(
-        student_logits, teacher_logits, labels, alpha, temperature, class_weights
-    )
-    return value
-
-
 # ---------------------------------------------------------------------------
 # rehearsal buffers
 
@@ -258,9 +232,6 @@ class ReplayBuffer:
 
     def counts(self):
         return [int(labels.shape[0]) for _, labels in self.tasks]
-
-    def total(self) -> int:
-        return int(sum(self.counts()))
 
     def concat(self):
         """All stored samples, oldest task first; None when empty."""
@@ -400,9 +371,10 @@ class Strategy:
     """No-op hook bundle; subclasses override what they need.
 
     Hook order per task, as driven by the trainer: before_task, optional
-    scratch reinit, training_data, then per batch (batch_loss, loss_penalty
-    and penalty_gradient, transform_gradient, optimizer step, per_step_observe),
-    and after_task once the epoch budget is spent.
+    scratch reinit, training_data, then per batch (batch_loss,
+    penalty_gradient, transform_gradient, optimizer step, per_step_observe),
+    and after_task once the epoch budget is spent. The trainer never calls
+    loss_penalty; it is the value whose gradient penalty_gradient returns.
     """
 
     kind = "naive"
@@ -618,7 +590,7 @@ class Lwf(Strategy):
 
 def _memory_gradient(model, features, labels, class_weights):
     x = model.prepare_batch(features)
-    logits = forward(model.graph, model.params, x)
+    logits = model.graph.forward(model.params, x)
     _, dlogits = weighted_ce_with_grad(logits, labels, class_weights)
     return model.graph.backward_from_dlogits(dlogits)
 

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import backward, forward
 from .errors import ConfigurationError, DataError
-from .metrics import METRIC_NAMES, AccuracyMatrix, summarize_classification
+from .metrics import METRIC_NAMES, summarize_classification
 from .models import predict
 from .strategies import Strategy
 
@@ -134,8 +133,6 @@ class TrainerSettings:
 class RunOutput:
     run_idx: int
     records: list = field(default_factory=list)
-    acc_test: AccuracyMatrix | None = None
-    acc_train: AccuracyMatrix | None = None
     epochs_run: dict = field(default_factory=dict)  # task_idx -> epoch count
     consumed_patients: list = field(default_factory=list)
     final_params: np.ndarray | None = None
@@ -203,8 +200,6 @@ def run_single(
     reinit_rng = stream_rng(master_seed, run_idx, "reinit")
 
     out = RunOutput(run_idx=run_idx)
-    out.acc_test = AccuracyMatrix(n_tasks)
-    out.acc_train = AccuracyMatrix(n_tasks)
     needs_observe = type(strategy).per_step_observe is not Strategy.per_step_observe
 
     for task_idx in range(n_tasks):
@@ -221,14 +216,14 @@ def run_single(
             for batch_idx in _batches(n, settings.batch_size, order):
                 x = model.prepare_batch(train_x[batch_idx])
                 yb = train_y[batch_idx]
-                logits = forward(model.graph, model.params, x)
-                loss = model.graph.loss(yb, class_weights)
+                logits = model.graph.forward(model.params, x)
+                _, dlogits = model.graph.loss(yb, class_weights)
                 _, extra_dlogits = strategy.batch_loss(
                     model, x, logits, yb, class_weights
                 )
                 if extra_dlogits is not None:
-                    loss.dlogits = loss.dlogits + extra_dlogits
-                grad = backward(model.graph, loss)
+                    dlogits = dlogits + extra_dlogits
+                grad = model.graph.backward_from_dlogits(dlogits)
                 penalty_grad = strategy.penalty_gradient(model.params.values)
                 if penalty_grad is not None:
                     grad = grad + penalty_grad
@@ -245,23 +240,14 @@ def run_single(
                 model.params.values -= step
                 if needs_observe:
                     strategy.per_step_observe(grad, -step)
-            last_epoch_rows = evaluate_seen_tasks(
+            for row in evaluate_seen_tasks(
                 model, stream, task_idx, class_weights, splits=eval_splits
-            )
-            for row in last_epoch_rows:
+            ):
                 row.update(run=run_idx, trained_task=task_idx,
                            trained_task_name=stream.task_name(task_idx), epoch=epoch)
                 out.records.append(row)
             out.epochs_run[task_idx] = out.epochs_run.get(task_idx, 0) + 1
         strategy.after_task(model, task_idx, task_x, task_y, buffer_rng)
-        for row in last_epoch_rows:
-            if row["eval_task"] is None or row["split"] not in ("test", "train"):
-                continue
-            value = row["metrics"]["balanced_accuracy"]
-            if value is None:
-                continue
-            matrix = out.acc_test if row["split"] == "test" else out.acc_train
-            matrix.set(task_idx, row["eval_task"], value)
         if "test" in eval_splits:
             _, _, test_pids = stream.get(task_idx, "test")
             test_set = set(test_pids.tolist())

@@ -18,12 +18,11 @@ import zlib
 import numpy as np
 import pytest
 
-import seqcl.autodiff as ad
 import seqcl.strategies as cl
 from seqcl import harness
 from seqcl import metrics as mt
 from seqcl.datagen import conflicting_stream_profile
-from seqcl.metrics import AccuracyMatrix, bootstrap_ci, forgetting
+from seqcl.metrics import bootstrap_ci
 from seqcl.models import ArchitectureSpec, build_model
 from seqcl.training import TaskStream, TrainerSettings, run_single
 
@@ -106,19 +105,6 @@ def _task_drop(records, eval_task, last_task, epochs):
         and r["epoch"] == epochs - 1
     )
     return peak - final
-
-
-def _final_mean_forgetting(records, n_tasks, epochs):
-    matrix = AccuracyMatrix(n_tasks)
-    for r in records:
-        if (
-            r["split"] == "test"
-            and r["epoch"] == epochs - 1
-            and r["eval_task"] is not None
-        ):
-            matrix.set(r["trained_task"], r["eval_task"],
-                       r["metrics"]["balanced_accuracy"])
-    return forgetting(matrix, n_tasks - 1)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -210,19 +196,19 @@ def test_01_gradient_fidelity():
         weights = (1.4, 0.7)
         graph, params = model.graph, model.params
         graph.forward(params, x)
-        analytic = np.asarray(ad.backward(graph, graph.loss(labels, weights)))
-        coords = rng.choice(params.size, size=min(100, params.size),
-                            replace=False)
+        analytic = graph.backward_from_dlogits(graph.loss(labels, weights)[1])
         theta = params.values
+        coords = rng.choice(theta.size, size=min(100, theta.size),
+                            replace=False)
         eps = 1e-5
         for i in coords:
             saved = theta[i]
             theta[i] = saved + eps
             graph.forward(params, x)
-            up = graph.loss(labels, weights).value
+            up, _ = graph.loss(labels, weights)
             theta[i] = saved - eps
             graph.forward(params, x)
-            down = graph.loss(labels, weights).value
+            down, _ = graph.loss(labels, weights)
             theta[i] = saved
             fd = (up - down) / (2 * eps)
             err = abs(analytic[i] - fd) / max(abs(analytic[i]), abs(fd), 1e-6)
@@ -357,12 +343,14 @@ def test_05_metric_oracles():
         if labels.sum() in (0, n):
             labels[0] = 1 - labels[0]
         scores = np.round(rng.uniform(size=n), 2)
+        row = mt.summarize_classification(
+            np.stack([1.0 - scores, scores], axis=1), labels, (1.0, 1.0)
+        )
         worst = max(
             worst,
-            abs(mt.balanced_accuracy(scores, labels)
-                - _oracle_balanced_accuracy(scores, labels)),
-            abs(mt.auroc(scores, labels) - _oracle_auroc(scores, labels)),
-            abs(mt.auprc(scores, labels) - _oracle_auprc(scores, labels)),
+            abs(row["balanced_accuracy"] - _oracle_balanced_accuracy(scores, labels)),
+            abs(row["auroc"] - _oracle_auroc(scores, labels)),
+            abs(row["auprc"] - _oracle_auprc(scores, labels)),
         )
     _verdict(
         5,
@@ -438,8 +426,7 @@ def test_07_many_task_degradation(tmp_path):
         config = _experiment_config(profile, "hospital", strategy,
                                     tmp_path / name)
         outs = harness.run_experiment(config, hyperparams=hp)
-        n_tasks = max(r["trained_task"] for r in outs[0].records) + 1
-        values = [_final_mean_forgetting(o.records, n_tasks, 40) for o in outs]
+        values = [harness.final_mean_forgetting(o.records, 40) for o in outs]
         outcomes[name] = (float(np.mean(values)), bootstrap_ci(values))
     elapsed = time.monotonic() - t0
     naive_ci = outcomes["naive"][1]

@@ -1,7 +1,7 @@
 """Engine-level checks: exact hand arithmetic first, finite differences second.
 
 The finite-difference oracle here is independent of the engine: it only calls
-forward() and the loss value, never backward().
+``Graph.forward`` and reads the loss value, never ``backward_from_dlogits``.
 """
 
 import math
@@ -20,16 +20,16 @@ RNG = np.random.default_rng
 
 def fd_gradient(graph, params, batch, labels, weights=(1.0, 1.0), eps=1e-5):
     """Central differences over every coordinate, engine-independent."""
-    out = np.zeros(params.size)
     theta = params.values
-    for i in range(params.size):
+    out = np.zeros(theta.size)
+    for i in range(theta.size):
         saved = theta[i]
         theta[i] = saved + eps
         graph.forward(params, batch)
-        up = graph.loss(labels, weights).value
+        up, _ = graph.loss(labels, weights)
         theta[i] = saved - eps
         graph.forward(params, batch)
-        down = graph.loss(labels, weights).value
+        down, _ = graph.loss(labels, weights)
         theta[i] = saved
         out[i] = (up - down) / (2 * eps)
     return out
@@ -37,8 +37,8 @@ def fd_gradient(graph, params, batch, labels, weights=(1.0, 1.0), eps=1e-5):
 
 def analytic_gradient(graph, params, batch, labels, weights=(1.0, 1.0)):
     graph.forward(params, batch)
-    loss = graph.loss(labels, weights)
-    return ad.backward(graph, loss)
+    _, dlogits = graph.loss(labels, weights)
+    return graph.backward_from_dlogits(dlogits)
 
 
 def max_rel_err(a, b):
@@ -62,10 +62,10 @@ def dense_graph(in_dim, out_chain):
 def test_parameter_vector_roundtrip_is_bitwise():
     pv = ad.ParameterVector.zeros([("a.W", (3, 2)), ("a.b", (2,)), ("z", (4,))])
     rng = RNG(0)
-    pv.values[...] = rng.normal(size=pv.size)
+    pv.values[...] = rng.normal(size=pv.values.size)
     flat_before = pv.values.copy()
-    for name in pv.names():
-        pv.set(name, pv.get(name).copy())
+    for name, _, _ in pv.layout:
+        pv.get(name)[...] = pv.get(name).copy()
     assert np.array_equal(pv.values, flat_before)
 
 
@@ -74,7 +74,7 @@ def test_parameter_views_cover_vector_exactly(shapes):
     named = [(f"p{i}", s) for i, s in enumerate(shapes)]
     pv = ad.ParameterVector.zeros(named)
     total = sum(a * b for a, b in shapes)
-    assert pv.size == total
+    assert pv.values.size == total
     seen = 0
     for name, _ in named:
         view = pv.get(name)
@@ -100,7 +100,7 @@ def test_parameter_vector_rejects_gaps_and_duplicates():
 def test_identity_dense_layer_returns_input():
     g = dense_graph(2, [2])
     p = g.new_params()
-    p.set("L0.dense.W", np.eye(2))
+    p.get("L0.dense.W")[...] = np.eye(2)
     x = np.array([[0.3, -1.2], [2.0, 0.0], [-0.5, 0.5]])
     logits = g.forward(p, x)
     assert np.array_equal(logits, x)
@@ -122,10 +122,10 @@ def test_two_layer_mlp_matches_hand_matrix_arithmetic():
     b1 = np.array([0.1, -0.2])
     w2 = np.array([[1.0, -1.0], [0.5, 2.0]])
     b2 = np.array([0.0, 0.3])
-    p.set("L0.dense.W", w1)
-    p.set("L0.dense.b", b1)
-    p.set("L2.dense.W", w2)
-    p.set("L2.dense.b", b2)
+    p.get("L0.dense.W")[...] = w1
+    p.get("L0.dense.b")[...] = b1
+    p.get("L2.dense.W")[...] = w2
+    p.get("L2.dense.b")[...] = b2
     x = np.array([[1.0, -1.0, 2.0], [0.0, 0.5, -0.5]])
     expected = np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
     assert np.allclose(g.forward(p, x), expected, rtol=0, atol=0)
@@ -134,7 +134,7 @@ def test_two_layer_mlp_matches_hand_matrix_arithmetic():
 def test_forward_is_deterministic():
     g = ad.Graph([ad.LSTM(3, 4), ad.LastStep(), ad.Dense(4, 2)], ("seq", 5, 3))
     p = g.new_params()
-    p.values[...] = RNG(7).normal(size=p.size)
+    p.values[...] = RNG(7).normal(size=p.values.size)
     x = RNG(8).normal(size=(4, 5, 3))
     a = g.forward(p, x).copy()
     b = g.forward(p, x)
@@ -156,16 +156,18 @@ def test_infer_matches_forward_and_leaves_backward_state_alone(make_layers, sign
     g = ad.Graph(make_layers(), signature)
     p = g.new_params()
     rng = RNG(11)
-    p.values[...] = rng.normal(scale=0.6, size=p.size)
+    p.values[...] = rng.normal(scale=0.6, size=p.values.size)
     x = rng.normal(size=(6, *signature[1:]))
     other = rng.normal(size=(9, *signature[1:]))
+    labels = np.arange(6) % 2
     logits = g.forward(p, x).copy()
-    loss = g.loss(np.arange(6) % 2, (0.7, 1.6))
-    expected = ad.backward(g, loss)
+    value, dlogits = g.loss(labels, (0.7, 1.6))
+    expected = g.backward_from_dlogits(dlogits)
     assert np.array_equal(g.infer(p, x), logits)
     g.infer(p, other)
-    # the loss node is still current and backward still sees x's intermediates
-    assert np.array_equal(ad.backward(g, loss), expected)
+    # loss and backward still see x's logits and intermediates
+    assert g.loss(labels, (0.7, 1.6))[0] == value
+    assert np.array_equal(g.backward_from_dlogits(dlogits), expected)
 
 
 def test_shape_mismatch_names_offending_layer():
@@ -192,22 +194,6 @@ def test_backward_before_forward_is_usage_error():
         g.backward_from_dlogits(np.zeros((1, 2)))
 
 
-def test_stale_loss_node_is_rejected():
-    g = dense_graph(2, [2])
-    p = g.new_params()
-    x = np.ones((1, 2))
-    g.forward(p, x)
-    loss = g.loss(np.array([0]), (1.0, 1.0))
-    g.forward(p, x)  # re-run invalidates the node
-    with pytest.raises(UsageError):
-        ad.backward(g, loss)
-    other = dense_graph(2, [2])
-    other.forward(other.new_params(), x)
-    stale = other.loss(np.array([0]), (1.0, 1.0))
-    with pytest.raises(UsageError):
-        ad.backward(g, stale)
-
-
 def test_backward_matches_hand_derivative_on_one_parameter_path():
     # One weight theta on a 1 -> 2 dense layer, label 0, unit weights:
     #   loss = -log softmax([0, theta])[0] = log(1 + e^theta)
@@ -215,7 +201,7 @@ def test_backward_matches_hand_derivative_on_one_parameter_path():
     g = dense_graph(1, [2])
     p = g.new_params()
     theta = 3.0
-    p.set("L0.dense.W", np.array([[0.0, theta]]))
+    p.get("L0.dense.W")[...] = np.array([[0.0, theta]])
     x = np.array([[1.0]])
     grad = analytic_gradient(g, p, x, np.array([0]))
     hand = 1.0 / (1.0 + math.exp(-theta))  # sigmoid, written out independently
@@ -226,7 +212,7 @@ def test_backward_matches_hand_derivative_on_one_parameter_path():
 def test_backward_returns_a_fresh_gradient_vector_every_call():
     g = dense_graph(3, [4, 2])
     p = g.new_params()
-    p.values[...] = RNG(5).normal(size=p.size)
+    p.values[...] = RNG(5).normal(size=p.values.size)
     x = RNG(6).normal(size=(4, 3))
     first = analytic_gradient(g, p, x, np.array([0, 1, 1, 0]))
     kept = first.copy()
@@ -239,7 +225,7 @@ def test_unreachable_parameter_gradient_is_exactly_zero():
     g = ad.Graph([ad.Dense(2, 2), ad.Activation("relu"), ad.Dense(2, 2)], ("flat", 2))
     p = g.new_params()
     rng = RNG(3)
-    p.values[...] = rng.normal(size=p.size)
+    p.values[...] = rng.normal(size=p.values.size)
     w2 = p.get("L2.dense.W")
     w2[1, :] = 0.0  # hidden unit 1 has no outgoing weights
     # force unit 1's relu inactive gradient path irrelevant: zero its output use
@@ -270,7 +256,7 @@ def test_every_kernel_matches_central_differences(name, layers, signature):
     g = ad.Graph(layers, signature)
     p = g.new_params()
     rng = RNG(zlib.crc32(name.encode()))
-    p.values[...] = rng.normal(scale=0.6, size=p.size)
+    p.values[...] = rng.normal(scale=0.6, size=p.values.size)
     n = 6
     if signature[0] == "flat":
         x = rng.normal(size=(n, signature[1]))
@@ -278,7 +264,7 @@ def test_every_kernel_matches_central_differences(name, layers, signature):
         x = rng.normal(size=(n, signature[1], signature[2]))
     labels = np.arange(n) % 2
     analytic = analytic_gradient(g, p, x, labels, weights=(0.7, 1.6))
-    coords = rng.choice(p.size, size=min(100, p.size), replace=False)
+    coords = rng.choice(p.values.size, size=min(100, p.values.size), replace=False)
     fd = fd_gradient(g, p, x, labels, weights=(0.7, 1.6))
     err = max_rel_err(analytic[coords], fd[coords])
     assert err < 1e-4, f"{name}: max rel err {err:.3e}"
@@ -290,7 +276,7 @@ def test_relu_kernel_fd_away_from_kinks():
     rng = RNG(42)
     for _ in range(50):
         p = g.new_params()
-        p.values[...] = rng.normal(scale=0.8, size=p.size)
+        p.values[...] = rng.normal(scale=0.8, size=p.values.size)
         x = rng.normal(size=(5, 7, 2))
         pre = g.layers[0].forward(p, x)
         if np.abs(pre).min() > 1e-3:
@@ -306,48 +292,44 @@ def test_relu_kernel_fd_away_from_kinks():
 def test_grad_check_linear_model_is_tight():
     g = dense_graph(4, [2])
     p = g.new_params()
-    p.values[...] = RNG(11).normal(size=p.size)
+    p.values[...] = RNG(11).normal(size=p.values.size)
     x = RNG(12).normal(size=(8, 4))
-    assert ad.grad_check(g, p, x, eps=1e-5) < 1e-8
+    labels = np.arange(8) % 2
+    analytic = analytic_gradient(g, p, x, labels)
+    assert max_rel_err(analytic, fd_gradient(g, p, x, labels)) < 1e-8
 
 
 def test_grad_check_mlp_tanh():
     g = ad.Graph([ad.Dense(6, 8), ad.Activation("tanh"), ad.Dense(8, 2)], ("flat", 6))
     p = g.new_params()
-    p.values[...] = RNG(13).normal(scale=0.5, size=p.size)
+    p.values[...] = RNG(13).normal(scale=0.5, size=p.values.size)
     x = RNG(14).normal(size=(10, 6))
-    assert ad.grad_check(g, p, x, eps=1e-5) < 1e-4
-
-
-def test_grad_check_validates_eps():
-    g = dense_graph(2, [2])
-    with pytest.raises(UsageError):
-        ad.grad_check(g, g.new_params(), np.ones((2, 2)), eps=0.5)
-    with pytest.raises(UsageError):
-        ad.grad_check(g, g.new_params(), np.ones((2, 2)), eps=0.0)
+    labels = np.arange(10) % 2
+    analytic = analytic_gradient(g, p, x, labels)
+    assert max_rel_err(analytic, fd_gradient(g, p, x, labels)) < 1e-4
 
 
 # ------------------------------------------------------------- loss examples
 
 
 def test_uniform_logits_loss_is_log_two():
-    loss = ad.weighted_cross_entropy(np.array([[0.0, 0.0]]), np.array([1]), (1.0, 1.0))
+    loss, _ = ad.weighted_ce_with_grad(np.array([[0.0, 0.0]]), np.array([1]), (1.0, 1.0))
     assert loss == pytest.approx(math.log(2.0), abs=1e-15)
 
 
 def test_weighted_loss_hand_value():
     # logits (1, 0), true class 0, weight 2: loss = -2 log sigmoid(1)
     hand = -2.0 * math.log(1.0 / (1.0 + math.exp(-1.0)))
-    loss = ad.weighted_cross_entropy(np.array([[1.0, 0.0]]), np.array([0]), (2.0, 1.0))
+    loss, _ = ad.weighted_ce_with_grad(np.array([[1.0, 0.0]]), np.array([0]), (2.0, 1.0))
     assert loss == pytest.approx(hand, abs=1e-12)
 
 
 def test_confident_correct_logits_drive_loss_to_zero():
     logits = np.array([[40.0, -40.0]])
-    loss = ad.weighted_cross_entropy(logits, np.array([0]), (1.0, 1.0))
+    loss, _ = ad.weighted_ce_with_grad(logits, np.array([0]), (1.0, 1.0))
     assert 0.0 <= loss < 1e-12
     # and stays finite when confidently wrong
-    wrong = ad.weighted_cross_entropy(logits, np.array([1]), (1.0, 1.0))
+    wrong, _ = ad.weighted_ce_with_grad(logits, np.array([1]), (1.0, 1.0))
     assert np.isfinite(wrong)
 
 
@@ -365,13 +347,13 @@ def test_unit_weights_match_unweighted_gradient():
 def test_loss_rejects_bad_labels_and_weights():
     logits = np.zeros((2, 2))
     with pytest.raises(DataError):
-        ad.weighted_cross_entropy(logits, np.array([0, 2]), (1.0, 1.0))
+        ad.weighted_ce_with_grad(logits, np.array([0, 2]), (1.0, 1.0))
     with pytest.raises(DataError):
-        ad.weighted_cross_entropy(logits, np.array([0.5, 0.0]), (1.0, 1.0))
+        ad.weighted_ce_with_grad(logits, np.array([0.5, 0.0]), (1.0, 1.0))
     with pytest.raises(ConfigurationError):
-        ad.weighted_cross_entropy(logits, np.array([0, 1]), (1.0, 0.0))
+        ad.weighted_ce_with_grad(logits, np.array([0, 1]), (1.0, 0.0))
     with pytest.raises(DataError):
-        ad.weighted_cross_entropy(np.zeros((0, 2)), np.array([]), (1.0, 1.0))
+        ad.weighted_ce_with_grad(np.zeros((0, 2)), np.array([]), (1.0, 1.0))
 
 
 @settings(max_examples=30)
@@ -385,9 +367,9 @@ def test_loss_is_mean_of_per_sample_terms(n, w0, w1, seed):
     rng = RNG(seed)
     logits = rng.normal(size=(n, 2))
     labels = rng.integers(0, 2, size=n)
-    total = ad.weighted_cross_entropy(logits, labels, (w0, w1))
+    total, _ = ad.weighted_ce_with_grad(logits, labels, (w0, w1))
     per = [
-        ad.weighted_cross_entropy(logits[i : i + 1], labels[i : i + 1], (w0, w1))
+        ad.weighted_ce_with_grad(logits[i : i + 1], labels[i : i + 1], (w0, w1))[0]
         for i in range(n)
     ]
     assert total == pytest.approx(float(np.mean(per)), rel=1e-12)

@@ -336,12 +336,38 @@ def test_every_builtin_task_has_both_classes():
 
 def test_profile_json_roundtrip(tmp_path):
     prof = small_profile()
+    payload = {
+        "n_patients": prof.n_patients,
+        "n_timevarying": prof.n_timevarying,
+        "n_static": prof.n_static,
+        "seq_len": prof.seq_len,
+        "noise_scale": prof.noise_scale,
+        "base_prevalence": prof.base_prevalence,
+        "admission_probs": list(prof.admission_probs),
+        "domains": {"site": [
+            {"name": s.name, "mean_offset": s.mean_offset.tolist(), "prevalence": s.prevalence}
+            for s in prof.domains["site"]
+        ]},
+    }
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(prof.to_json_dict()))
+    path.write_text(json.dumps(payload))
     back = dg.resolve_profile(str(path))
     assert back.n_patients == prof.n_patients
     assert np.allclose(
         back.domains["site"][1].mean_offset, prof.domains["site"][1].mean_offset
     )
+    a, b = dg.generate_cohort(prof, seed=3), dg.generate_cohort(back, seed=3)
+    assert np.array_equal(a.timevarying, b.timevarying)
+    assert np.array_equal(a.labels, b.labels)
     with pytest.raises(ConfigurationError):
         dg.ShiftProfile.from_json_dict({"n_patients": 5, "bogus": 1})
+
+
+def test_directory_named_like_a_profile_is_not_read_as_one(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sites3").mkdir()
+    (tmp_path / "dir.json").mkdir()
+    assert dg.resolve_profile("sites3").n_patients == dg.builtin_profile("sites3").n_patients
+    for missing in ("dir.json", "missing.json"):
+        with pytest.raises(ConfigurationError, match="not found"):
+            dg.resolve_profile(missing)

@@ -8,27 +8,33 @@ import pytest
 
 from seqcl import harness
 from seqcl.cli import main as cli_main
-from seqcl.datagen import ShiftProfile, _domain_specs
+from seqcl.datagen import domain_offset_vectors
 from seqcl.errors import ConfigurationError, ReportError, SeqclError
+from seqcl.metrics import AccuracyMatrix, forgetting
 from seqcl.models import ArchitectureSpec, build_model
 from seqcl.strategies import Cumulative, build_strategy
 from seqcl.training import TaskStream, TrainerSettings, evaluate_seen_tasks, run_single
 
 
 def small_profile(n_domains=3, n_patients=400, key="site", prevalence=0.30):
-    return ShiftProfile(
-        n_patients=n_patients,
-        n_timevarying=3,
-        n_static=1,
-        seq_len=6,
-        domains={key: _domain_specs(key, n_domains, 3, 1, 3.5, prevalence)},
-    ).validate()
+    """JSON profile: three time-varying and one static feature per step."""
+    return {
+        "n_patients": n_patients,
+        "n_timevarying": 3,
+        "n_static": 1,
+        "seq_len": 6,
+        "domains": {key: [
+            {"name": f"{key}{j:02d}", "mean_offset": offset.tolist(),
+             "prevalence": prevalence}
+            for j, offset in enumerate(domain_offset_vectors(n_domains, 3, 1, 3.5))
+        ]},
+    }
 
 
 @pytest.fixture(scope="module")
 def profile_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "profile.json"
-    path.write_text(json.dumps(small_profile().to_json_dict()))
+    path.write_text(json.dumps(small_profile()))
     return path
 
 
@@ -132,6 +138,40 @@ class TestConfig:
         )
         with pytest.raises(ConfigurationError, match="buffer_budget"):
             harness.sweep(config, "buffer_budget", values=["abc"])
+
+    @pytest.mark.parametrize("key,value", [
+        ("curriculum", 1.5), ("curriculum", True), ("curriculum", "site00"),
+        ("curriculum", ["site00", 1]), ("epochs_per_task", "2"),
+        ("epochs_per_task", 2.0), ("batch_size", True), ("n_runs", 1.5),
+        ("master_seed", None), ("learning_rate", "0.1"), ("learning_rate", None),
+        ("momentum", False), ("data.seed", "7"), ("data.seed", True),
+    ])
+    def test_wrong_typed_values_are_configuration_errors(
+        self, profile_path, tmp_path, key, value
+    ):
+        raw = base_config(profile_path, tmp_path)
+        if key == "data.seed":
+            raw["data"]["seed"] = value
+        else:
+            raw[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            harness.config_from_dict(raw)
+
+    def test_valid_configs_keep_their_fingerprints(self):
+        raw = {
+            "data": {"profile": "sites3", "seed": 7}, "domain_key": "site",
+            "architecture": {"kind": "mlp", "n_layers": 1, "hidden_dim": 8},
+            "strategy": "replay", "output_dir": "out",
+            "grid": {"learning_rate": [0.05, 0.1]},
+            "curriculum": ["site01", "site00", "site02"], "epochs_per_task": 2,
+            "batch_size": 32, "learning_rate": 0.1, "momentum": 0, "n_runs": 2,
+            "buffer_budget": 64, "master_seed": 5,
+        }
+        config = harness.config_from_dict(raw)
+        assert harness.config_fingerprint(config) == "540ab479c19a4418"
+        raw.update(curriculum=3, momentum=0.5, buffer_budget=None, learning_rate=1)
+        config = harness.config_from_dict(raw)
+        assert harness.config_fingerprint(config) == "a46468f1520f015e"
 
     def test_fingerprint_ignores_output_dir_only(self, profile_path, tmp_path):
         a = harness.config_from_dict(base_config(profile_path, tmp_path / "a"))
@@ -250,7 +290,7 @@ class TestRunExperiment:
     def test_long_streams_drop_the_tuning_tasks(self, tmp_path):
         profile = small_profile(n_domains=7, n_patients=210, key="hospital")
         prof_path = tmp_path / "profile.json"
-        prof_path.write_text(json.dumps(profile.to_json_dict()))
+        prof_path.write_text(json.dumps(profile))
         config = harness.config_from_dict(
             base_config(
                 prof_path,
@@ -552,6 +592,45 @@ class TestReport:
         assert [r["experiment"] for r in summary["experiments"]] == ["one", "two"]
         assert (tmp_path / "grp" / "summary.csv").exists()
 
+    def test_final_mean_forgetting_on_hand_built_records(self):
+        def records(matrix, split="test", epoch=0):
+            return [
+                {"trained_task": i, "epoch": epoch, "eval_task": j, "split": split,
+                 "metrics": {"balanced_accuracy": value}}
+                for i, row in enumerate(matrix) for j, value in enumerate(row)
+            ]
+
+        matrix = [[0.8], [0.6, 0.9], [0.7, 0.5, None]]
+        # task 0: 0.8 - 0.7, task 1: 0.9 - 0.5; the None cell is not needed
+        assert harness.final_mean_forgetting(records(matrix), 1) == pytest.approx(0.25)
+        # other splits and earlier epochs are not read
+        noise = records([[0.0], [0.0, 0.0], [0.0, 0.0, 0.0]], split="train")
+        noise += records([[1.0], [1.0, 1.0], [1.0, 1.0, 1.0]], epoch=0)
+        later = records(matrix, epoch=1)
+        assert harness.final_mean_forgetting(noise + later, 2) == pytest.approx(0.25)
+        # a None in a needed cell leaves the matrix incomplete
+        assert harness.final_mean_forgetting(records([[0.8], [None, 0.9]]), 1) is None
+        partial = [r for r in records([[0.8], [0.6, 0.9]])
+                   if (r["trained_task"], r["eval_task"]) != (1, 0)]
+        assert harness.final_mean_forgetting(partial, 1) is None
+        assert harness.final_mean_forgetting(records([[0.8]]), 1) is None
+
+    def test_final_mean_forgetting_matches_the_matrix_built_by_hand(
+        self, profile_path, tmp_path
+    ):
+        config = harness.config_from_dict(base_config(profile_path, tmp_path, n_runs=1))
+        (out,) = harness.run_experiment(config)
+        n_tasks = max(r["trained_task"] for r in out.records) + 1
+        assert n_tasks == 3
+        # the helper criterion 7 used before it called final_mean_forgetting
+        matrix = AccuracyMatrix(n_tasks)
+        for r in out.records:
+            if r["split"] == "test" and r["epoch"] == 1 and r["eval_task"] is not None:
+                matrix.set(r["trained_task"], r["eval_task"],
+                           r["metrics"]["balanced_accuracy"])
+        want = forgetting(matrix, n_tasks - 1)[1]
+        assert harness.final_mean_forgetting(out.records, 2) == want
+
     def test_empty_directory_rejected(self, tmp_path):
         (tmp_path / "empty").mkdir()
         with pytest.raises(ReportError, match="no experiment results"):
@@ -646,6 +725,16 @@ class TestCli:
 
     def test_report_on_missing_directory_fails(self, tmp_path):
         assert cli_main(["report", str(tmp_path / "nope")]) == 3
+
+    @pytest.mark.parametrize("values", ["1.5", "0,1.5"])
+    def test_wrong_typed_sweep_value_exits_2_before_any_group_runs(
+        self, profile_path, tmp_path, values
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(profile_path, tmp_path / "sw")))
+        argv = ["sweep", str(cfg), "--axis", "curriculum", "--values", values]
+        assert cli_main(argv) == 2
+        assert not (tmp_path / "sw").exists()
 
     def test_sweep_values_parsed_from_csv_text(self, profile_path, tmp_path):
         raw = base_config(

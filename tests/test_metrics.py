@@ -147,20 +147,33 @@ def tally_confusion(scores, labels, threshold):
 # ----------------------------------------------------------------- confusion
 
 
+def kernel_counts(scores, labels, threshold=0.5):
+    """(tp, fp, tn, fn) as the classification kernel counts them."""
+    counts, _, _ = mt._classify(*mt._validate_scores_labels(scores, labels), threshold)
+    return counts
+
+
+def summary(scores, labels, threshold=0.5):
+    """The evaluation row of a 1-d positive-class score vector."""
+    probs = np.stack([1.0 - scores, scores], axis=1)
+    return mt.summarize_classification(probs, labels, (1.0, 1.0), threshold)
+
+
 def test_confusion_hand_tally():
     scores = np.array([0.9, 0.5, 0.4, 0.2, 0.6, 0.5])
     labels = np.array([1, 0, 1, 0, 1, 1])
-    assert mt.confusion(scores, labels) == tally_confusion(scores, labels, 0.5)
+    assert kernel_counts(scores, labels) == tally_confusion(scores, labels, 0.5)
     # tie at threshold predicts positive
-    tp, fp, tn, fn = mt.confusion(np.array([0.5, 0.5]), np.array([1, 0]))
+    tp, fp, tn, fn = kernel_counts(np.array([0.5, 0.5]), np.array([1, 0]))
     assert (tp, fp, tn, fn) == (1, 1, 0, 0)
 
 
 def test_confusion_accepts_two_column_probabilities():
     probs = np.array([[0.2, 0.8], [0.7, 0.3]])
-    assert mt.confusion(probs, np.array([1, 0])) == (1, 0, 1, 0)
+    out = mt.summarize_classification(probs, np.array([1, 0]), (1.0, 1.0))
+    assert (out["sensitivity"], out["specificity"], out["precision"]) == (1.0, 1.0, 1.0)
     with pytest.raises(DataError):
-        mt.confusion(np.zeros((2, 3)), np.array([1, 0]))
+        mt.summarize_classification(np.zeros((2, 3)), np.array([1, 0]), (1.0, 1.0))
 
 
 # --------------------------------------------------------- balanced accuracy
@@ -170,23 +183,21 @@ def test_balanced_accuracy_hand_value():
     # tp=3, fn=1, tn=5, fp=1 -> (3/4 + 5/6) / 2
     scores = np.array([1, 1, 1, 0, 0, 0, 0, 0, 0, 1], dtype=float)
     labels = np.array([1, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-    value = mt.balanced_accuracy(scores, labels)
+    value = summary(scores, labels)["balanced_accuracy"]
     assert value == pytest.approx((3 / 4 + 5 / 6) / 2, abs=1e-15)
 
 
 def test_balanced_accuracy_extremes():
     labels = np.array([1, 1, 0, 0])
-    assert mt.balanced_accuracy(labels.astype(float), labels) == 1.0
-    assert mt.balanced_accuracy(1.0 - labels, labels) == 0.0
+    assert summary(labels.astype(float), labels)["balanced_accuracy"] == 1.0
+    assert summary(1.0 - labels, labels)["balanced_accuracy"] == 0.0
     # constant positive prediction: sensitivity 1, specificity 0
-    assert mt.balanced_accuracy(np.ones(4), labels) == 0.5
+    assert summary(np.ones(4), labels)["balanced_accuracy"] == 0.5
 
 
 def test_balanced_accuracy_undefined_without_both_classes():
-    with pytest.raises(UndefinedMetricError):
-        mt.balanced_accuracy(np.array([0.1, 0.9]), np.array([1, 1]))
-    with pytest.raises(UndefinedMetricError):
-        mt.balanced_accuracy(np.array([0.1, 0.9]), np.array([0, 0]))
+    assert summary(np.array([0.1, 0.9]), np.array([1, 1]))["balanced_accuracy"] is None
+    assert summary(np.array([0.1, 0.9]), np.array([0, 0]))["balanced_accuracy"] is None
 
 
 @settings(max_examples=40)
@@ -195,7 +206,7 @@ def test_balanced_accuracy_equals_accuracy_on_balanced_data(n_per_class, seed):
     rng = np.random.default_rng(seed)
     labels = np.array([0, 1] * n_per_class)
     scores = rng.uniform(size=labels.size)
-    bal = mt.balanced_accuracy(scores, labels)
+    bal = summary(scores, labels)["balanced_accuracy"]
     acc = float(np.mean((scores >= 0.5).astype(int) == labels))
     assert bal == pytest.approx(acc, abs=1e-12)
 
@@ -331,13 +342,10 @@ def test_accuracy_matrix_guards_upper_triangle():
     with pytest.raises(UsageError):
         m.set(0, 1, 0.5)
     with pytest.raises(UsageError):
-        m.get(0, 2)
+        m.set(3, 0, 0.5)
     m.set(2, 1, 0.25)
-    assert m.get(2, 1) == 0.25
-    rows = m.to_lists()
-    assert rows[2][1] == 0.25 and rows[0][0] is None
-    back = mt.AccuracyMatrix.from_lists(rows)
-    assert back.get(2, 1) == 0.25
+    assert m.values[2, 1] == 0.25
+    assert np.isnan(m.values[0, 0])
 
 
 # ----------------------------------------------------------------- bootstrap
@@ -421,7 +429,7 @@ def scored_labels(draw):
 @given(scored_labels(), st.sampled_from([0.0, 0.5, 1.0]))
 def test_kernel_is_bit_identical_to_legacy_metrics(data, threshold):
     scores, labels = data
-    assert mt.confusion(scores, labels, threshold) == legacy_confusion(scores, labels, threshold)
+    assert kernel_counts(scores, labels, threshold) == legacy_confusion(scores, labels, threshold)
     n_pos = int(labels.sum())
     if 0 < n_pos < labels.size:
         assert exact(mt.auroc(scores, labels)) == exact(legacy_auroc(scores, labels))

@@ -57,12 +57,12 @@ def test_mlp_first_layer_fan_in_is_flattened_input():
 
 def test_lstm_parameter_count_matches_closed_form():
     spec = m.ArchitectureSpec(kind="lstm", n_feature_layers=2, hidden_dim=64)
-    assert m.parameter_count(spec, (48, 10)) == lstm_param_count(10, 2, 64)
+    assert m.build_graph(spec, (48, 10)).new_params().values.size == lstm_param_count(10, 2, 64)
 
 
 def test_bidirectional_lstm_parameter_count():
     spec = m.ArchitectureSpec(kind="lstm", n_feature_layers=1, hidden_dim=8, bidirectional=True)
-    assert m.parameter_count(spec, (12, 5)) == lstm_param_count(5, 1, 8, bidirectional=True)
+    assert m.build_graph(spec, (12, 5)).new_params().values.size == lstm_param_count(5, 1, 8, bidirectional=True)
 
 
 @settings(max_examples=25, deadline=None)
@@ -83,7 +83,7 @@ def test_parameter_count_matches_oracle_for_random_specs(kind, layers, h, t, d):
         expect = lstm_param_count(d, layers, h)
     else:
         expect = cnn_param_count(d, layers, h, spec.kernel_size)
-    assert m.parameter_count(spec, (t, d)) == expect
+    assert m.build_graph(spec, (t, d)).new_params().values.size == expect
 
 
 def test_same_seed_gives_identical_parameters():
@@ -135,9 +135,9 @@ def test_predict_matches_hand_sigmoid_on_one_unit_model():
     model = m.build_model(spec, (1, 1), seed=0)
     # graph: dense(1->1), relu, dense(1->1)? head narrows to max(1, 0)=... h=1 -> head_h=1
     model.params.values[...] = 0.0
-    model.params.set("L0.dense.W", np.array([[1.0]]))
-    model.params.set("L2.dense.W", np.array([[1.0]]))
-    model.params.set("L4.dense.W", np.array([[2.0, -1.0]]))
+    model.params.get("L0.dense.W")[...] = np.array([[1.0]])
+    model.params.get("L2.dense.W")[...] = np.array([[1.0]])
+    model.params.get("L4.dense.W")[...] = np.array([[2.0, -1.0]])
     x = np.full((1, 1, 1), 1.5)
     # feature = relu(1.5) = 1.5, head hidden = 1.5, logits = (3.0, -1.5)
     probs = m.predict(model, x)

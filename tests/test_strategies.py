@@ -277,19 +277,24 @@ def test_si_penalty_no_half_and_gradient_matches_fd():
 def test_lwf_identical_teacher_gives_plain_ce():
     rng = np.random.default_rng(6)
     logits = rng.normal(size=(5, 2))
-    labels = np.array([0, 1, 0, 1, 1])
-    ce = ad.weighted_cross_entropy(logits, labels, (1.0, 1.0))
-    value = cl.lwf_loss(logits, logits.copy(), labels, alpha=3.0, temperature=2.0)
-    assert value == pytest.approx(ce, rel=1e-12)
+    value, dlogits = cl.distillation_with_grad(logits, logits.copy(), alpha=3.0, temperature=2.0)
+    assert value == 0.0
+    assert np.array_equal(dlogits, np.zeros_like(logits))
 
 
 def test_lwf_alpha_zero_is_plain_ce():
     rng = np.random.default_rng(7)
     student = rng.normal(size=(4, 2))
     teacher = rng.normal(size=(4, 2))
-    labels = np.array([0, 0, 1, 1])
-    ce = ad.weighted_cross_entropy(student, labels, (1.0, 1.0))
-    assert cl.lwf_loss(student, teacher, labels, 0.0, 1.0) == pytest.approx(ce)
+    value, dlogits = cl.distillation_with_grad(student, teacher, 0.0, 1.0)
+    assert value == 0.0
+    assert np.array_equal(dlogits, np.zeros_like(student))
+    # the strategy keeps no teacher at all, so the trainer adds nothing to CE
+    s = cl.Lwf(alpha=0.0, temperature=1.0)
+    model = small_model(seed=3)
+    f, y = toy_task(4, seed=4)
+    s.before_task(model, 1, f, y, None)
+    assert s.batch_loss(model, model.prepare_batch(f), student, y, (1.0, 1.0)) == (0.0, None)
 
 
 def test_lwf_distillation_matches_in_test_kl_oracle():
@@ -302,10 +307,10 @@ def test_lwf_distillation_matches_in_test_kl_oracle():
     ps = softmax_oracle(student[0])
     kl = kl_oracle(pt, ps)
     assert kl == pytest.approx((np.e - 1) / (np.e + 1), rel=1e-12)
-    ce = ad.weighted_cross_entropy(student, labels, (1.0, 1.0))
+    ce, _ = ad.weighted_ce_with_grad(student, labels, (1.0, 1.0))
     alpha = 0.9
-    value = cl.lwf_loss(student, teacher, labels, alpha=alpha, temperature=1.0)
-    assert value == pytest.approx(ce + alpha * kl, rel=1e-12)
+    value, _ = cl.distillation_with_grad(student, teacher, alpha=alpha, temperature=1.0)
+    assert ce + value == pytest.approx(ce + alpha * kl, rel=1e-12)
 
 
 def test_lwf_temperature_scales_squared():
@@ -314,42 +319,46 @@ def test_lwf_temperature_scales_squared():
     teacher = rng.normal(size=(3, 2))
     labels = np.array([1, 0, 1])
     t = 2.5
-    ce = ad.weighted_cross_entropy(student, labels, (1.0, 1.0))
+    ce, _ = ad.weighted_ce_with_grad(student, labels, (1.0, 1.0))
     manual = 0.0
     for s_row, t_row in zip(student, teacher):
         manual += kl_oracle(softmax_oracle(t_row / t), softmax_oracle(s_row / t))
     manual /= 3.0
-    value = cl.lwf_loss(student, teacher, labels, alpha=1.3, temperature=t)
-    assert value == pytest.approx(ce + 1.3 * t * t * manual, rel=1e-12)
+    value, _ = cl.distillation_with_grad(student, teacher, alpha=1.3, temperature=t)
+    assert ce + value == pytest.approx(ce + 1.3 * t * t * manual, rel=1e-12)
 
 
 def test_lwf_gradient_matches_fd():
+    # the LwF objective: weighted CE plus the distillation term, as the
+    # trainer adds their dlogits
     rng = np.random.default_rng(9)
     student = rng.normal(size=(4, 2))
     teacher = rng.normal(size=(4, 2))
     labels = np.array([0, 1, 1, 0])
     weights = (0.7, 1.6)
-    _, dlogits = cl.lwf_loss_with_grad(student, teacher, labels, 1.1, 2.0, weights)
+    _, ce_dlogits = ad.weighted_ce_with_grad(student, labels, weights)
+    _, kd_dlogits = cl.distillation_with_grad(student, teacher, 1.1, 2.0)
+    dlogits = ce_dlogits + kd_dlogits
     eps = 1e-6
     for n in (0, 3):
         for j in (0, 1):
-            up = student.copy()
-            up[n, j] += eps
-            dn = student.copy()
-            dn[n, j] -= eps
-            fd = (
-                cl.lwf_loss(up, teacher, labels, 1.1, 2.0, weights)
-                - cl.lwf_loss(dn, teacher, labels, 1.1, 2.0, weights)
-            ) / (2 * eps)
+            values = []
+            for step in (eps, -eps):
+                moved = student.copy()
+                moved[n, j] += step
+                ce, _ = ad.weighted_ce_with_grad(moved, labels, weights)
+                kd, _ = cl.distillation_with_grad(moved, teacher, 1.1, 2.0)
+                values.append(ce + kd)
+            fd = (values[0] - values[1]) / (2 * eps)
             assert abs(dlogits[n, j] - fd) < 1e-8
 
 
-def test_lwf_rejects_bad_temperature_and_shape():
-    logits = np.zeros((2, 2))
-    with pytest.raises(UsageError):
-        cl.lwf_loss(logits, logits, np.array([0, 1]), 1.0, 0.0)
-    with pytest.raises(UsageError):
-        cl.lwf_loss(logits, np.zeros((3, 2)), np.array([0, 1]), 1.0, 1.0)
+def test_lwf_rejects_non_positive_temperature():
+    for temperature in (0.0, -1.0):
+        with pytest.raises(ConfigurationError):
+            cl.Lwf(alpha=1.0, temperature=temperature)
+        with pytest.raises(ConfigurationError):
+            cl.build_strategy("lwf", {"temperature": temperature})
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +436,7 @@ def test_gdumb_rebalance_keeps_most_recent_samples():
         stream = list(buffer.tasks) + [(features, labels)]
         cl.gdumb_rebalance(buffer, stream, budget)
         assert buffer.counts() == expected_quotas[t]
-        assert buffer.total() <= budget
+        assert sum(buffer.counts()) <= budget
         for k, (stored_f, _) in enumerate(buffer.tasks):
             task_id = k + 1
             n_k = 10 + task_id
@@ -589,7 +598,7 @@ def test_replay_budget_respected_across_tasks():
         f, y = toy_task(100, seed=t)
         s.after_task(model, t, f, y, rng)
         assert max(s.buffer.counts()) <= 16
-    assert s.buffer.total() == 64
+    assert sum(s.buffer.counts()) == 64
 
 
 def test_gdumb_strategy_rebalances_before_training():
@@ -643,7 +652,7 @@ def test_agem_strategy_samples_only_when_needed():
     f0, y0 = toy_task(8, seed=6)
     s.after_task(model, 0, f0, y0, rng)
     state_before = rng.bit_generator.state
-    s.transform_gradient(np.zeros(model.params.size), model, (1.0, 1.0), rng)
+    s.transform_gradient(np.zeros(model.params.values.size), model, (1.0, 1.0), rng)
     # 8 stored <= sample_size: no draw happened
     assert rng.bit_generator.state == state_before
 
@@ -664,14 +673,14 @@ def test_lwf_strategy_distills_from_task_start_copy():
     f, y = toy_task(6, seed=10)
     s.before_task(model, 1, f, y, None)
     x = model.prepare_batch(f)
-    logits = ad.forward(model.graph, model.params, x)
+    logits = model.graph.forward(model.params, x)
     value, dlogits = s.batch_loss(model, x, logits, y, (1.0, 1.0))
     # teacher is the task-start copy of an unmoved model: zero distillation
     assert value == pytest.approx(0.0, abs=1e-15)
     assert np.allclose(dlogits, 0.0, atol=1e-15)
     # once the student moves, the pull is back toward the teacher
     model.params.values += 0.05
-    logits = ad.forward(model.graph, model.params, x)
+    logits = model.graph.forward(model.params, x)
     value, dlogits = s.batch_loss(model, x, logits, y, (1.0, 1.0))
     assert value > 0.0
 
@@ -680,19 +689,16 @@ def test_lwf_strategy_term_is_the_distillation_part_of_lwf_loss():
     s = cl.Lwf(alpha=0.7, temperature=1.5)
     model = small_model(seed=15)
     f, y = toy_task(7, seed=16)
-    weights = (0.8, 1.6)
     s.before_task(model, 1, f, y, None)
     teacher = model.params.copy()
     model.params.values += 0.1
     x = model.prepare_batch(f)
-    logits = ad.forward(model.graph, model.params, x)
-    value, dlogits = s.batch_loss(model, x, logits, y, weights)
-    ce_value, ce_dlogits = ad.weighted_ce_with_grad(logits, y, weights)
-    teacher_logits = ad.forward(model.graph, teacher, x)
-    want_value, want_dlogits = cl.lwf_loss_with_grad(logits, teacher_logits, y, 0.7, 1.5, weights)
-    # CE + term, not lwf - CE: float subtraction would not undo the addition exactly
-    assert ce_value + value == want_value
-    assert np.array_equal(ce_dlogits + dlogits, want_dlogits)
+    teacher_logits = model.graph.forward(teacher, x).copy()
+    logits = model.graph.forward(model.params, x)
+    value, dlogits = s.batch_loss(model, x, logits, y, (0.8, 1.6))
+    want_value, want_dlogits = cl.distillation_with_grad(logits, teacher_logits, 0.7, 1.5)
+    assert value == want_value
+    assert np.array_equal(dlogits, want_dlogits)
 
 
 @pytest.mark.parametrize("spec", [
@@ -707,12 +713,13 @@ def test_lwf_teacher_pass_leaves_student_gradient_alone(spec):
     s.before_task(model, 1, f, y, None)
     model.params.values += 0.05
     x = model.prepare_batch(f)
-    ad.forward(model.graph, model.params, x)
-    want = ad.backward(model.graph, model.graph.loss(y, (1.0, 1.0)))
-    logits = ad.forward(model.graph, model.params, x)
-    loss = model.graph.loss(y, (1.0, 1.0))
+    graph = model.graph
+    graph.forward(model.params, x)
+    want = graph.backward_from_dlogits(graph.loss(y, (1.0, 1.0))[1])
+    logits = graph.forward(model.params, x)
+    _, dlogits = graph.loss(y, (1.0, 1.0))
     s.batch_loss(model, x, logits, y, (1.0, 1.0))
-    assert np.array_equal(ad.backward(model.graph, loss), want)
+    assert np.array_equal(graph.backward_from_dlogits(dlogits), want)
 
 
 def test_si_strategy_full_task_cycle():
@@ -720,7 +727,7 @@ def test_si_strategy_full_task_cycle():
     model = small_model(seed=11)
     f, y = toy_task(4, seed=12)
     s.before_task(model, 0, f, y, None)
-    g = np.ones(model.params.size)
+    g = np.ones(model.params.values.size)
     s.per_step_observe(g, -0.01 * g)
     model.params.values -= 0.01
     s.after_task(model, 0, f, y, None)
