@@ -11,6 +11,12 @@ A ``Graph`` is a sequential pipeline of kernels ending in [N, 2] logits.
 Parameters live outside the graph in a ``ParameterVector`` (one flat vector
 plus a named layout), which keeps strategy code that manipulates whole
 parameter states (anchors, Fisher diagonals, projections) trivial.
+
+Every ``Layer.backward`` hands its parameter gradients to a sink through
+two calls, ``add_outer`` (example-summed outer products) and ``add_sum``
+(example-summed biases). A ``ParameterVector`` sink sums over the examples
+of the batch; a ``RowGradients`` sink keeps one gradient per example. Both
+run the same reverse loop.
 """
 
 from __future__ import annotations
@@ -97,6 +103,67 @@ class ParameterVector:
         twin._index = self._index
         return twin
 
+    def add_outer(self, name: str, x: Array, dy: Array) -> None:
+        """Gradient sink: add ``x^T dy`` summed over every example to ``name``.
+
+        Operands are [N, a] and [N, b], or [N, T, a] and [N, T, b] with the
+        example axis first, summed over N and T.
+        """
+        g = self.get(name)
+        if x.ndim == 2:
+            g += x.T @ dy
+        else:
+            g += (_rows(x).T @ _rows(dy)).reshape(g.shape)
+
+    def add_sum(self, name: str, dy: Array) -> None:
+        """Gradient sink: add ``dy`` summed over every example (and step)."""
+        g = self.get(name)
+        g += _rows(dy).sum(axis=0)
+
+
+def _rows(a: Array) -> Array:
+    """[N, T, b] folded to [N*T, b]; 2-d operands pass through untouched."""
+    return a if a.ndim == 2 else a.reshape(-1, a.shape[-1])
+
+
+class RowGradients:
+    """Gradient sink that keeps one gradient per example: ``values`` is
+    [N, P] in the parameter layout.
+
+    Row n equals the batch gradient with every other row's dlogits set to
+    zero, bit for bit up to the sign of zeros. For [N, a] operands that
+    zero-padded sum has a single non-zero term, so the per-row outer
+    product is exact. For [N, T, a] operands each example sums T terms, and
+    BLAS blocks that sum by the batch's N*T rows; so each example's term is
+    formed with the batch-sized GEMM, the other examples' rows zeroed.
+    """
+
+    __slots__ = ("values", "_index")
+
+    def __init__(self, layout: ParameterVector, n: int):
+        self.values = np.zeros((n, layout.values.size))
+        self._index = layout._index
+
+    def _block(self, name: str) -> Array:
+        offset, _, size = self._index[name]
+        return self.values[:, offset : offset + size]
+
+    def add_outer(self, name: str, x: Array, dy: Array) -> None:
+        block = self._block(name)
+        if x.ndim == 2:
+            block += (x[:, :, None] * dy[:, None, :]).reshape(block.shape)
+            return
+        flat = _rows(x)
+        masked = np.zeros(dy.shape)  # C order, so masked_rows is a view of it
+        masked_rows = _rows(masked)
+        for r in range(dy.shape[0]):
+            masked[r] = dy[r]
+            block[r] += (flat.T @ masked_rows).ravel()
+            masked[r] = 0.0
+
+    def add_sum(self, name: str, dy: Array) -> None:
+        self._block(name)[...] += dy if dy.ndim == 2 else dy.sum(axis=1)
+
 
 class Layer:
     """One kernel in a sequential graph. Subclasses cache what backward needs.
@@ -127,7 +194,9 @@ class Layer:
     def forward(self, params: ParameterVector, x: Array, record: bool = True) -> Array:
         raise NotImplementedError
 
-    def backward(self, params: ParameterVector, grads: ParameterVector, dy: Array) -> Array:
+    def backward(self, params: ParameterVector, grads, dy: Array) -> Array:
+        """d loss / d input; parameter gradients go to the sink ``grads``
+        (a ``ParameterVector`` or a ``RowGradients``)."""
         raise NotImplementedError
 
     def _p(self, local: str) -> str:
@@ -167,8 +236,8 @@ class Dense(Layer):
 
     def backward(self, params, grads, dy):
         x = self._cache
-        grads.get(self._p("W"))[...] += x.T @ dy
-        grads.get(self._p("b"))[...] += dy.sum(axis=0)
+        grads.add_outer(self._p("W"), x, dy)
+        grads.add_sum(self._p("b"), dy)
         return dy @ params.get(self._p("W")).T
 
 
@@ -267,11 +336,8 @@ class Conv1D(Layer):
     def backward(self, params, grads, dy):
         win, x_shape = self._cache
         n, t_out = win.shape[0], win.shape[1]
-        flat = win.reshape(n * t_out, -1)
-        dyf = dy.reshape(n * t_out, self.out_channels)
-        dw = flat.T @ dyf
-        grads.get(self._p("W"))[...] += dw.reshape(self.kernel_size, self.in_channels, self.out_channels)
-        grads.get(self._p("b"))[...] += dyf.sum(axis=0)
+        grads.add_outer(self._p("W"), win.reshape(n, t_out, -1), dy)
+        grads.add_sum(self._p("b"), dy)
         w = params.get(self._p("W"))
         dx = np.zeros(x_shape, dtype=np.float64)
         for j in range(self.kernel_size):
@@ -280,12 +346,11 @@ class Conv1D(Layer):
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without masks:
+    with e = e^-|x| both branches are a numerator over 1 + e, so the bits
+    equal the two-branch form on every finite input."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class LSTM(Layer):
@@ -362,9 +427,7 @@ class LSTM(Layer):
         h_dim = self.hidden_dim
         wx = params.get(self._p("Wx"))
         wh = params.get(self._p("Wh"))
-        d_wx = grads.get(self._p("Wx"))
-        d_wh = grads.get(self._p("Wh"))
-        d_b = grads.get(self._p("b"))
+        name_wx, name_wh, name_b = self._p("Wx"), self._p("Wh"), self._p("b")
         n = dy.shape[0]
         dx = np.empty((n, t, self.in_dim))
         dh_next = np.zeros((n, h_dim))
@@ -386,9 +449,9 @@ class LSTM(Layer):
                 ],
                 axis=1,
             )
-            d_wx[...] += x_t.T @ dz
-            d_wh[...] += h_prev.T @ dz
-            d_b[...] += dz.sum(axis=0)
+            grads.add_outer(name_wx, x_t, dz)
+            grads.add_outer(name_wh, h_prev, dz)
+            grads.add_sum(name_b, dz)
             dx[:, ti, :] = dz @ wx.T
             dh_next = dz @ wh.T
             dc_next = dc * f
@@ -525,10 +588,13 @@ class Graph:
     intermediates), ``loss`` (value and d loss / d logits of those logits),
     then ``backward_from_dlogits``, which accumulates gradients over the
     recorded intermediates into a flat vector aligned with the parameter
-    layout; callers may add their own terms to the dlogits first. ``infer``
+    layout; callers may add their own terms to the dlogits first.
+    ``row_gradients`` runs the same reverse loop into a ``RowGradients``
+    sink and returns one gradient per example instead of their sum. ``infer``
     runs the same arithmetic without recording anything, so it neither holds
-    intermediates nor disturbs the state of the last forward. Single-threaded by design: one graph instance owns one
-    forward-state at a time.
+    intermediates nor disturbs the state of the last forward.
+    Single-threaded by design: one graph instance owns one forward-state at
+    a time.
     """
 
     def __init__(self, layers, input_signature):
@@ -608,18 +674,31 @@ class Graph:
     def backward_from_dlogits(self, dlogits: Array) -> Array:
         """Gradient w.r.t. every parameter of the last recorded forward, as a
         flat vector. Parameters the logits do not reach get exactly 0."""
+        # fresh every call: GEM and A-GEM keep the gradients they are handed
+        return self._reverse(self._grad_template.zeros_same_layout(), dlogits).values
+
+    def row_gradients(self, dlogits: Array) -> Array:
+        """Per-example gradients of the last recorded forward, [N, P].
+
+        Row n is bit for bit what ``backward_from_dlogits`` returns when
+        every row of ``dlogits`` but row n is zero (zeros may differ in
+        sign), from one reverse pass. Holds N*P float64 values.
+        """
+        sink = RowGradients(self._grad_template, dlogits.shape[0])
+        return self._reverse(sink, dlogits).values
+
+    def _reverse(self, grads, dlogits: Array):
+        """The one reverse loop: every layer's backward, gradients into ``grads``."""
         if self._logits is None:
             raise UsageError("backward called before forward()")
         if dlogits.shape != self._logits.shape:
             raise UsageError(
                 f"dlogits shape {dlogits.shape} does not match logits {self._logits.shape}"
             )
-        # fresh every call: GEM and A-GEM keep the gradients they are handed
-        grads = self._grad_template.zeros_same_layout()
         dx = dlogits
         for layer in reversed(self.layers):
             dx = layer.backward(self._params_used, grads, dx)
-        return grads.values
+        return grads
 
 
 def _check_labels(labels, n):

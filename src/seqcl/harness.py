@@ -69,6 +69,23 @@ def _require(value, kinds, message):
         raise ConfigurationError(f"{message}, got {value!r}")
 
 
+_TRAINER_KINDS = {"batch_size": ((int,), "an int"),
+                  "learning_rate": ((int, float), "a number"),
+                  "momentum": ((int, float), "a number")}
+
+
+def _check_generic_value(config, key, value) -> None:
+    """Type and range check of one generic hyperparameter value (a grid
+    entry or a tuned value) as the run would use it; strategy keys are
+    checked by their constructors."""
+    if key in _ARCH_KEYS:
+        config.architecture_spec({key: value})
+    elif key in _TRAINER_KINDS:
+        kinds, what = _TRAINER_KINDS[key]
+        _require(value, kinds, f"{key} must be {what}")
+        config.trainer_settings({key: value}).validate()
+
+
 @dataclass
 class ExperimentConfig:
     data: dict
@@ -118,6 +135,8 @@ class ExperimentConfig:
                 )
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigurationError(f"grid key {key!r} needs a nonempty list")
+            for value in values:
+                _check_generic_value(self, key, value)
         build_strategy(self.strategy)  # name check
         budget = self.buffer_budget
         if budget is not None and (
@@ -150,7 +169,7 @@ class ExperimentConfig:
         overrides = overrides or {}
         return TrainerSettings(
             epochs_per_task=self.epochs_per_task,
-            batch_size=int(overrides.get("batch_size", self.batch_size)),
+            batch_size=overrides.get("batch_size", self.batch_size),
             learning_rate=float(overrides.get("learning_rate", self.learning_rate)),
             momentum=float(overrides.get("momentum", self.momentum)),
         )
@@ -249,6 +268,8 @@ def _check_hyperparams(config: ExperimentConfig, hyperparams: dict) -> None:
     unknown = set(hyperparams) - allowed
     if unknown:
         raise ConfigurationError(f"unknown hyperparameters {sorted(unknown)}")
+    for key, value in hyperparams.items():
+        _check_generic_value(config, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +702,7 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
     if not values:
         raise ConfigurationError("sweep needs at least one axis value")
     base_dir = Path(config.output_dir)
-    # every axis value is validated before the first group runs
+    # every axis value and hyperparameter is validated before the first group runs
     group_configs = [
         config_from_dict({
             **_jsonable(asdict(config)),
@@ -690,6 +711,8 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
         })
         for position, value in enumerate(values)
     ]
+    for group_config in group_configs:
+        _check_hyperparams(group_config, dict(hyperparams or {}))
     base_dir.mkdir(parents=True, exist_ok=True)
     groups = []
     for value, group_config in zip(values, group_configs):

@@ -37,6 +37,12 @@ class ArchitectureSpec:
     kernel_size: int = 3
 
     def validate(self) -> "ArchitectureSpec":
+        for name in ("n_feature_layers", "hidden_dim", "kernel_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.bidirectional, (bool, np.bool_)):
+            raise ConfigurationError(f"bidirectional must be a bool, got {self.bidirectional!r}")
         if self.kind not in MODEL_KINDS:
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
         if not 1 <= self.n_feature_layers <= 4:

@@ -7,7 +7,10 @@ Unimplemented hooks are no-ops, so ``Naive`` is literally the base class.
 Every gradient, the trainer's and the ones strategies take for themselves
 (Fisher rows, GEM and A-GEM references), comes from the same graph calls:
 ``forward``, then dlogits (``Graph.loss`` plus any ``batch_loss`` term),
-then ``backward_from_dlogits``.
+then the one reverse loop. GEM and A-GEM references and the trainer's step
+read it summed over the batch (``backward_from_dlogits``); the Fisher reads
+it per example (``row_gradients``, the ``RowGradients`` sink), one pass per
+chunk.
 
 The math lives in module-level functions (``ewc_penalty``, ``gem_project``,
 ``solve_dual_qp``, ...) so it can be checked against hand values and
@@ -19,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import log_softmax, softmax, weighted_ce_with_grad
+from .autodiff import _check_labels, log_softmax, softmax, weighted_ce_with_grad
 from .errors import ConfigurationError, QpNonConvergenceError, UsageError
 
 log = logging.getLogger(__name__)
@@ -175,26 +178,25 @@ def compute_fisher(model, features, labels, batch_size=64) -> np.ndarray:
     """Empirical Fisher diagonal at the model's current parameters.
 
     Mean over samples of the squared gradient of log p(y_n | x_n), with y_n
-    the true label. Per-sample gradients come from one shared forward per
-    chunk followed by single-row backward passes, which is exact because no
-    layer mixes rows.
+    the true label. Each chunk of ``batch_size`` rows takes one forward and
+    one ``Graph.row_gradients`` pass, whose per-example gradients are bit
+    for bit those of a single-row backward of the chunk; their squares are
+    summed row by row in sample order. The pass holds N*P*8 bytes for a
+    chunk of N rows and P parameters: 3.1 MB for 64 rows of a 1-layer
+    h=32 LSTM over 10 features.
     """
-    labels = np.asarray(labels)
-    n = labels.shape[0]
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    labels = _check_labels(labels, n)  # DataError unless one 0/1 label per row
     if n == 0:
         raise UsageError("empirical Fisher needs at least one sample")
-    x = model.prepare_batch(np.asarray(features, dtype=np.float64))
+    x = model.prepare_batch(features)
     acc = model.params.zeros_like()
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        logits = model.graph.forward(model.params, x[start:stop])
-        probs = softmax(logits)
-        for row in range(stop - start):
-            dlogits = np.zeros_like(logits)
-            y = int(labels[start + row])
-            dlogits[row] = probs[row]
-            dlogits[row, y] -= 1.0
-            g = model.graph.backward_from_dlogits(dlogits)
+        dlogits = softmax(model.graph.forward(model.params, x[start:stop]))
+        dlogits[np.arange(stop - start), labels[start:stop]] -= 1.0
+        for g in model.graph.row_gradients(dlogits):
             acc += g * g
     return acc / float(n)
 
@@ -480,6 +482,13 @@ class Gdumb(Strategy):
         return stored
 
 
+def _fisher_batch_size(value) -> int:
+    """Checked at construction, so a bad value fails before a task trains."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigurationError(f"fisher_batch_size must be an int >= 1, got {value!r}")
+    return int(value)
+
+
 class Ewc(Strategy):
     """Quadratic pull toward every past task's parameters, Fisher-weighted."""
 
@@ -487,7 +496,7 @@ class Ewc(Strategy):
 
     def __init__(self, ewc_lambda=1.0, fisher_batch_size=64):
         self.state = EwcState(lam=float(ewc_lambda))
-        self.fisher_batch_size = int(fisher_batch_size)
+        self.fisher_batch_size = _fisher_batch_size(fisher_batch_size)
 
     def loss_penalty(self, theta) -> float:
         if self.state.lam == 0.0 or not self.state.anchors:
@@ -514,7 +523,7 @@ class OnlineEwc(Strategy):
         if not 0.0 <= decay_factor <= 1.0:
             raise ConfigurationError("decay_factor must lie in [0, 1]")
         self.state = OnlineEwcState(lam=float(ewc_lambda), decay=float(decay_factor))
-        self.fisher_batch_size = int(fisher_batch_size)
+        self.fisher_batch_size = _fisher_batch_size(fisher_batch_size)
 
     def loss_penalty(self, theta) -> float:
         if self.state.lam == 0.0:

@@ -157,6 +157,37 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match=key):
             harness.config_from_dict(raw)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("batch_size", "abc", "batch_size"), ("batch_size", 2.7, "batch_size"),
+        ("batch_size", True, "batch_size"), ("batch_size", 0, "batch_size"),
+        ("learning_rate", "0.1", "learning_rate"), ("learning_rate", None, "learning_rate"),
+        ("learning_rate", -0.1, "learning_rate"), ("momentum", False, "momentum"),
+        ("momentum", 1.0, "momentum"), ("hidden_dim", "abc", "hidden_dim"),
+        ("hidden_dim", 2.5, "hidden_dim"), ("hidden_dim", 0, "hidden_dim"),
+        ("n_layers", True, "n_feature_layers"), ("n_layers", 5, "n_feature_layers"),
+        ("kernel_size", 1.0, "kernel_size"), ("nonlinearity", 3, "nonlinearity"),
+        ("bidirectional", "yes", "bidirectional"),
+    ])
+    def test_wrong_typed_grid_values_are_configuration_errors(
+        self, profile_path, tmp_path, key, value, message
+    ):
+        raw = base_config(profile_path, tmp_path, grid={key: [value]})
+        with pytest.raises(ConfigurationError, match=message):
+            harness.config_from_dict(raw)
+        config = harness.config_from_dict(base_config(profile_path, tmp_path / "out"))
+        with pytest.raises(ConfigurationError, match=message):
+            harness.run_experiment(config, {key: value})
+        assert not (tmp_path / "out").exists()
+
+    def test_well_typed_grid_values_pass_unchanged(self, profile_path, tmp_path):
+        grid = {"batch_size": [16, 32], "learning_rate": [1, 0.05], "momentum": [0, 0.5],
+                "hidden_dim": [4], "n_layers": [2], "nonlinearity": ["tanh"],
+                "kernel_size": [2]}
+        config = harness.config_from_dict(base_config(profile_path, tmp_path, grid=grid))
+        assert config.grid == grid
+        settings = config.trainer_settings({"batch_size": 16, "learning_rate": 1})
+        assert settings.batch_size == 16 and settings.learning_rate == 1.0
+
     def test_valid_configs_keep_their_fingerprints(self):
         raw = {
             "data": {"profile": "sites3", "seed": 7}, "domain_key": "site",
@@ -735,6 +766,26 @@ class TestCli:
         argv = ["sweep", str(cfg), "--axis", "curriculum", "--values", values]
         assert cli_main(argv) == 2
         assert not (tmp_path / "sw").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_wrong_typed_hyperparams_file_exits_2_before_any_run(
+        self, profile_path, tmp_path, command
+    ):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(profile_path, tmp_path / "out")))
+        hp = tmp_path / "hp.json"
+        hp.write_text(json.dumps({"batch_size": 2.7}))
+        argv = [command, str(cfg), "--hyperparams", str(hp)]
+        if command == "sweep":
+            argv += ["--axis", "curriculum", "--values", "0,1"]
+        assert cli_main(argv) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_typed_grid_exits_2_from_tune(self, profile_path, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            base_config(profile_path, tmp_path / "out", grid={"batch_size": ["abc"]})))
+        assert cli_main(["tune", str(cfg)]) == 2
 
     def test_sweep_values_parsed_from_csv_text(self, profile_path, tmp_path):
         raw = base_config(

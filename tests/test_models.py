@@ -185,6 +185,16 @@ def test_spec_validation_errors():
         m.build_graph(m.ArchitectureSpec(kind="cnn1d", n_feature_layers=4, kernel_size=3), (5, 2))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_feature_layers", 2.0), ("n_feature_layers", True), ("hidden_dim", "8"),
+    ("kernel_size", None), ("bidirectional", 1), ("bidirectional", "no"),
+])
+def test_spec_rejects_wrong_types(field, value):
+    with pytest.raises(ConfigurationError, match=field):
+        m.ArchitectureSpec(kind="lstm", **{field: value}).validate()
+    m.ArchitectureSpec(kind="lstm", n_feature_layers=np.int64(2)).validate()
+
+
 def test_prepare_batch_flattens_only_for_mlp():
     mlp = m.build_model(m.ArchitectureSpec(kind="mlp", hidden_dim=4), (3, 2), seed=0)
     seq = m.build_model(m.ArchitectureSpec(kind="lstm", hidden_dim=4, n_feature_layers=1), (3, 2), seed=0)

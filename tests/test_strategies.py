@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import seqcl.autodiff as ad
 import seqcl.strategies as cl
-from seqcl.errors import ConfigurationError, QpNonConvergenceError, UsageError
+from seqcl.errors import ConfigurationError, DataError, QpNonConvergenceError, UsageError
 from seqcl.models import ArchitectureSpec, build_model
 
 
@@ -80,6 +80,27 @@ class _TinyModel:
     def prepare_batch(self, batch):
         batch = np.asarray(batch, dtype=np.float64)
         return batch.reshape(batch.shape[0], -1)
+
+
+def legacy_compute_fisher(model, features, labels, batch_size=64):
+    """The Fisher of one single-row backward per sample: one forward per
+    chunk, then a full-chunk backward with every other row's dlogits zero."""
+    labels = np.asarray(labels)
+    n = labels.shape[0]
+    x = model.prepare_batch(np.asarray(features, dtype=np.float64))
+    acc = model.params.zeros_like()
+    for start in range(0, n, batch_size):
+        stop = min(start + batch_size, n)
+        logits = model.graph.forward(model.params, x[start:stop])
+        probs = ad.softmax(logits)
+        for row in range(stop - start):
+            dlogits = np.zeros_like(logits)
+            y = int(labels[start + row])
+            dlogits[row] = probs[row]
+            dlogits[row, y] -= 1.0
+            g = model.graph.backward_from_dlogits(dlogits)
+            acc += g * g
+    return acc / float(n)
 
 
 def fd_gradient(fn, theta, eps=1e-6):
@@ -183,6 +204,77 @@ def test_fisher_rejects_empty_data():
     model = small_model()
     with pytest.raises(UsageError):
         cl.compute_fisher(model, np.zeros((0, 3, 2)), np.zeros(0, dtype=int))
+
+
+FISHER_SPECS = [
+    ArchitectureSpec(kind="mlp", n_feature_layers=1, hidden_dim=8),
+    ArchitectureSpec(kind="mlp", n_feature_layers=3, hidden_dim=8),
+    ArchitectureSpec(kind="cnn1d", n_feature_layers=2, hidden_dim=64, kernel_size=1),
+    ArchitectureSpec(kind="cnn1d", n_feature_layers=2, hidden_dim=64, kernel_size=3),
+    ArchitectureSpec(kind="lstm", n_feature_layers=1, hidden_dim=8),
+    ArchitectureSpec(kind="lstm", n_feature_layers=2, hidden_dim=8),
+    ArchitectureSpec(kind="lstm", n_feature_layers=1, hidden_dim=8, bidirectional=True),
+]
+
+
+def _spec_id(spec):
+    extra = f"-k{spec.kernel_size}" if spec.kind == "cnn1d" else ""
+    extra += "-bi" if spec.bidirectional else ""
+    return f"{spec.kind}{spec.n_feature_layers}{extra}"
+
+
+@pytest.mark.parametrize("spec", FISHER_SPECS, ids=_spec_id)
+def test_fisher_is_bit_identical_to_single_row_backwards(spec):
+    # 37 rows: chunks of 5 and 16 leave an uneven last chunk, 64 is one
+    # short chunk, 1 is the single-row case.
+    model = build_model(spec, input_dims=(7, 3), seed=21)
+    model.params.values += 0.1 * np.random.default_rng(22).normal(
+        size=model.params.values.size)
+    features, labels = toy_task(37, seed=23, t=7, d=3)
+    for batch_size in (1, 5, 16, 64):
+        want = legacy_compute_fisher(model, features, labels, batch_size)
+        got = cl.compute_fisher(model, features, labels, batch_size)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), batch_size
+
+
+@pytest.mark.parametrize("spec", FISHER_SPECS, ids=_spec_id)
+def test_row_gradients_sum_to_the_batch_gradient(spec):
+    model = build_model(spec, input_dims=(7, 3), seed=24)
+    features, labels = toy_task(9, seed=25, t=7, d=3)
+    x = model.prepare_batch(features)
+    graph = model.graph
+    for n in (1, 9):
+        graph.forward(model.params, x[:n])
+        _, dlogits = graph.loss(labels[:n], (1.0, 2.0))
+        rows = graph.row_gradients(dlogits)
+        total = graph.backward_from_dlogits(dlogits)
+        assert rows.shape == (n, model.params.values.size)
+        if n == 1:
+            assert np.array_equal(rows[0].view(np.int64), total.view(np.int64))
+        else:
+            assert np.max(np.abs(rows.sum(axis=0) - total)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_features,labels", [
+    (10, [0, 1] * 4),
+    (10, [0, 1] * 6),
+    (4, [0, 1, 2, 0]),
+    (4, [0, 1, 0.5, 0]),
+    (4, [[0], [1], [0], [1]]),
+], ids=["fewer-labels", "more-labels", "label-2", "label-half", "2d-labels"])
+def test_fisher_rejects_inconsistent_inputs(n_features, labels):
+    model = small_model()
+    features, _ = toy_task(n_features, seed=3)
+    with pytest.raises(DataError):
+        cl.compute_fisher(model, features, np.asarray(labels))
+
+
+@pytest.mark.parametrize("kind", ["ewc", "online_ewc"])
+@pytest.mark.parametrize("size", [0, -1, 2.5, True, "64"])
+def test_fisher_batch_size_checked_at_construction(kind, size):
+    with pytest.raises(ConfigurationError, match="fisher_batch_size"):
+        cl.build_strategy(kind, {"fisher_batch_size": size})
+    assert cl.build_strategy(kind, {"fisher_batch_size": 1}).fisher_batch_size == 1
 
 
 # ---------------------------------------------------------------------------
