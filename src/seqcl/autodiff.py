@@ -2,7 +2,7 @@
 
 The kernel set is deliberately closed: dense affine maps, 1-d convolution
 (valid padding, stride 1), LSTM cells unrolled over time, elementwise
-relu/tanh/sigmoid, global mean-pooling over the time axis, and a fused
+relu/tanh, global mean-pooling over the time axis, and a fused
 softmax + weighted cross-entropy head. Everything is float64; there is no
 dropout, no batch normalisation, and no other stochastic node, so a forward
 pass is a pure function of (parameters, batch).
@@ -242,10 +242,10 @@ class Dense(Layer):
 
 
 class Activation(Layer):
-    """Elementwise relu / tanh / sigmoid. The relu subgradient at 0 is 0."""
+    """Elementwise relu / tanh. The relu subgradient at 0 is 0."""
 
     tag = "activation"
-    KINDS = ("relu", "tanh", "sigmoid")
+    KINDS = ("relu", "tanh")
 
     def __init__(self, kind: str):
         super().__init__()
@@ -262,10 +262,7 @@ class Activation(Layer):
             if record:
                 self._cache = x
             return np.maximum(x, 0.0)
-        if self.kind == "tanh":
-            y = np.tanh(x)
-        else:
-            y = _sigmoid(x)
+        y = np.tanh(x)
         if record:
             self._cache = y
         return y
@@ -274,9 +271,7 @@ class Activation(Layer):
         c = self._cache
         if self.kind == "relu":
             return dy * (c > 0.0)
-        if self.kind == "tanh":
-            return dy * (1.0 - c * c)
-        return dy * c * (1.0 - c)
+        return dy * (1.0 - c * c)
 
 
 class Conv1D(Layer):
@@ -620,9 +615,6 @@ class Graph:
         self._param_shapes = shapes
         self._grad_template = ParameterVector.zeros(shapes)
         self._logits = None
-
-    def param_shapes(self):
-        return list(self._param_shapes)
 
     def init_specs(self):
         out = []

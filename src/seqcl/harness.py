@@ -33,7 +33,7 @@ from .errors import (
 )
 from .metrics import AccuracyMatrix, bootstrap_ci, forgetting
 from .models import ArchitectureSpec, build_model
-from .strategies import _ACCEPTED_KEYS, build_strategy
+from .strategies import SI_DAMPING, SIZE_OR_NULL, STRATEGIES, build_strategy
 from .training import (
     TaskStream,
     TrainerSettings,
@@ -42,18 +42,6 @@ from .training import (
 )
 
 log = logging.getLogger(__name__)
-
-# generic (strategy-independent) hyperparameters the tuning grid may carry
-GENERIC_KEYS = {
-    "learning_rate",
-    "batch_size",
-    "momentum",
-    "hidden_dim",
-    "n_layers",
-    "nonlinearity",
-    "bidirectional",
-    "kernel_size",
-}
 
 _ARCH_KEYS = {"kind", "n_layers", "hidden_dim", "nonlinearity", "bidirectional",
               "kernel_size"}
@@ -73,17 +61,22 @@ _TRAINER_KINDS = {"batch_size": ((int,), "an int"),
                   "learning_rate": ((int, float), "a number"),
                   "momentum": ((int, float), "a number")}
 
+# generic (strategy-independent) hyperparameters the tuning grid may carry
+GENERIC_KEYS = (_ARCH_KEYS - {"kind"}) | set(_TRAINER_KINDS)
 
-def _check_generic_value(config, key, value) -> None:
-    """Type and range check of one generic hyperparameter value (a grid
-    entry or a tuned value) as the run would use it; strategy keys are
-    checked by their constructors."""
+
+def _check_value(config, key, value) -> None:
+    """Type and range check of one hyperparameter value (a grid entry or a
+    tuned value) as the run would use it; strategy keys go through their
+    strategy's rule."""
     if key in _ARCH_KEYS:
         config.architecture_spec({key: value})
     elif key in _TRAINER_KINDS:
         kinds, what = _TRAINER_KINDS[key]
         _require(value, kinds, f"{key} must be {what}")
         config.trainer_settings({key: value}).validate()
+    else:
+        STRATEGIES[config.strategy].hyperparams[key](key, value)
 
 
 @dataclass
@@ -127,26 +120,15 @@ class ExperimentConfig:
         if "kind" not in self.architecture:
             raise ConfigurationError("architecture needs a 'kind'")
         self.architecture_spec()  # validates the remaining fields
+        strategy = build_strategy(self.strategy)  # name check
         for key, values in self.grid.items():
-            if key not in GENERIC_KEYS and key not in _ACCEPTED_KEYS.get(self.strategy, set()):
-                raise ConfigurationError(
-                    f"grid key {key!r} fits neither the generic vocabulary nor "
-                    f"strategy {self.strategy!r}"
-                )
             if not isinstance(values, (list, tuple)) or not values:
                 raise ConfigurationError(f"grid key {key!r} needs a nonempty list")
             for value in values:
-                _check_generic_value(self, key, value)
-        build_strategy(self.strategy)  # name check
-        budget = self.buffer_budget
-        if budget is not None and (
-            isinstance(budget, bool) or not isinstance(budget, int) or budget < 0
-        ):
-            raise ConfigurationError(
-                f"buffer_budget must be a non-negative int or null, got {budget!r}"
-            )
-        if budget is None and self.strategy == "gdumb":
-            raise ConfigurationError("gdumb needs a finite buffer_budget, got null")
+                _check_hyperparams(self, {key: value})
+        # the budget key's own rule, where there is one: gdumb's rejects null
+        budget_rule = strategy.hyperparams.get(strategy.budget_key, SIZE_OR_NULL)
+        budget_rule(f"buffer_budget for {self.strategy}", self.buffer_budget)
         TrainerSettings(
             epochs_per_task=self.epochs_per_task,
             batch_size=self.batch_size,
@@ -254,22 +236,23 @@ def load_partitions(config: ExperimentConfig):
 
 
 def _strategy_hyperparams(config: ExperimentConfig, chosen: dict) -> dict:
-    """Strategy-constructor kwargs: tuned values plus buffer-budget defaults."""
-    hp = {k: v for k, v in chosen.items() if k in _ACCEPTED_KEYS[config.strategy]}
-    budget_key = {"replay": "patterns_per_exp", "gem": "patterns_per_exp",
-                  "agem": "patterns_per_exp", "gdumb": "mem_size"}.get(config.strategy)
-    if budget_key and budget_key not in hp:
-        hp[budget_key] = config.buffer_budget
+    """Strategy-constructor kwargs: tuned values plus the buffer-budget default."""
+    cls = STRATEGIES[config.strategy]
+    hp = {k: v for k, v in chosen.items() if k in cls.hyperparams}
+    if cls.budget_key:
+        hp.setdefault(cls.budget_key, config.buffer_budget)
     return hp
 
 
 def _check_hyperparams(config: ExperimentConfig, hyperparams: dict) -> None:
-    allowed = GENERIC_KEYS | _ACCEPTED_KEYS[config.strategy]
+    allowed = GENERIC_KEYS | set(STRATEGIES[config.strategy].hyperparams)
     unknown = set(hyperparams) - allowed
     if unknown:
-        raise ConfigurationError(f"unknown hyperparameters {sorted(unknown)}")
+        raise ConfigurationError(
+            f"unknown hyperparameters {sorted(unknown)} for strategy {config.strategy!r}"
+        )
     for key, value in hyperparams.items():
-        _check_generic_value(config, key, value)
+        _check_value(config, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +479,7 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
             "learning_rate": settings.learning_rate,
             "batch_size": settings.batch_size,
             "epochs_per_task": settings.epochs_per_task,
-            "si_damping": 1e-3,
+            "si_damping": SI_DAMPING,
             "fisher_estimator": "empirical, true-label gradients, one pass",
             "note": "optimizer and learning rate are stand-ins; no source states them",
         },

@@ -24,7 +24,7 @@ from . import autodiff as ad
 from .errors import ConfigurationError, DataError
 
 MODEL_KINDS = ("mlp", "cnn1d", "lstm")
-NONLINEARITIES = ("relu", "tanh")
+NONLINEARITIES = ad.Activation.KINDS
 
 
 @dataclass(frozen=True)

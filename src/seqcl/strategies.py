@@ -15,10 +15,17 @@ chunk.
 The math lives in module-level functions (``ewc_penalty``, ``gem_project``,
 ``solve_dual_qp``, ...) so it can be checked against hand values and
 brute-force oracles without building a model.
+
+Each strategy class declares its grid vocabulary once, in ``hyperparams``
+(grid key -> ``Rule``). ``build_strategy`` and the harness's grid checks
+apply those rules, so constructors only store values.
 """
 
 import logging
+import math
+import numbers
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,18 +34,7 @@ from .errors import ConfigurationError, QpNonConvergenceError, UsageError
 
 log = logging.getLogger(__name__)
 
-STRATEGY_KINDS = (
-    "naive",
-    "cumulative",
-    "ewc",
-    "online_ewc",
-    "si",
-    "lwf",
-    "replay",
-    "gdumb",
-    "gem",
-    "agem",
-)
+SI_DAMPING = 1e-3  # SI's default xi in Omega = omega / (drift^2 + xi)
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +61,7 @@ class OnlineEwcState:
 @dataclass
 class SiState:
     strength: float
-    damping: float = 1e-3
+    damping: float = SI_DAMPING
     omega: np.ndarray | None = None
     consolidated: np.ndarray | None = None
     anchor: np.ndarray | None = None
@@ -366,11 +362,59 @@ def agem_project(grad, ref_grad) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# hyperparameter rules
+
+
+@dataclass(frozen=True)
+class Rule:
+    """Check of one grid value: ``rule(key, value)`` returns the value
+    normalised for a constructor, or raises ConfigurationError naming key."""
+
+    what: str
+    accepts: Callable
+    normalise: Callable
+
+    def __call__(self, key, value):
+        if not self.accepts(value):
+            raise ConfigurationError(f"{key} must be {self.what}, got {value!r}")
+        return self.normalise(value)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A real that converts to a finite float (an int past float range does not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
+NON_NEGATIVE = Rule("a finite number >= 0", lambda v: _is_number(v) and v >= 0, float)
+POSITIVE = Rule("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
+UNIT_INTERVAL = Rule("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1, float)
+COUNT = Rule("an int >= 1", lambda v: _is_int(v) and v >= 1, int)
+SIZE = Rule("an int >= 0", lambda v: _is_int(v) and v >= 0, int)
+SIZE_OR_NULL = Rule("an int >= 0 or null", lambda v: v is None or SIZE.accepts(v),
+                    lambda v: None if v is None else int(v))
+FLAG = Rule("true or false", lambda v: isinstance(v, bool), bool)
+
+
+# ---------------------------------------------------------------------------
 # strategy plugins
 
 
 class Strategy:
     """No-op hook bundle; subclasses override what they need.
+
+    ``hyperparams`` maps each grid key the strategy accepts to its ``Rule``,
+    and the constructor takes exactly those keys (``lambda_e`` aside, an
+    alias ``build_strategy`` folds into ``alpha``). ``budget_key`` names the
+    key that defaults to the config's ``buffer_budget``.
 
     Hook order per task, as driven by the trainer: before_task, optional
     scratch reinit, training_data, then per batch (batch_loss,
@@ -380,6 +424,8 @@ class Strategy:
     """
 
     kind = "naive"
+    hyperparams = {}
+    budget_key = None
 
     def before_task(self, model, task_idx, features, labels, rng) -> None:
         pass
@@ -419,9 +465,11 @@ class Replay(Strategy):
     """Uniform per-task reservoirs concatenated into each new task's data."""
 
     kind = "replay"
+    hyperparams = {"patterns_per_exp": SIZE_OR_NULL}
+    budget_key = "patterns_per_exp"
 
-    def __init__(self, budget=256):
-        self.budget = budget  # per task; None = unlimited
+    def __init__(self, patterns_per_exp=256):
+        self.patterns_per_exp = patterns_per_exp  # per task; None = unlimited
         self.buffer = ReplayBuffer()
 
     def training_data(self, features, labels, task_idx):
@@ -435,16 +483,18 @@ class Replay(Strategy):
         )
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
-        replay_store(self.buffer, features, labels, rng, budget=self.budget)
+        replay_store(self.buffer, features, labels, rng, budget=self.patterns_per_exp)
 
 
 class Cumulative(Replay):
     """Joint training on everything seen so far: replay without a budget."""
 
     kind = "cumulative"
+    hyperparams = {}
+    budget_key = None
 
     def __init__(self):
-        super().__init__(budget=None)
+        super().__init__(patterns_per_exp=None)
 
 
 class Gdumb(Strategy):
@@ -452,15 +502,17 @@ class Gdumb(Strategy):
     from scratch on the buffer alone at every task boundary."""
 
     kind = "gdumb"
+    hyperparams = {"mem_size": SIZE, "gdumb_scratch_retrain": FLAG}
+    budget_key = "mem_size"
 
-    def __init__(self, budget=256, scratch_retrain=True):
-        self.budget = int(budget)
-        self.scratch_retrain = bool(scratch_retrain)
+    def __init__(self, mem_size=256, gdumb_scratch_retrain=True):
+        self.mem_size = mem_size
+        self.scratch_retrain = gdumb_scratch_retrain
         self.buffer = ReplayBuffer()
 
     @property
     def _inert(self) -> bool:
-        return self.budget <= 0
+        return self.mem_size <= 0
 
     def before_task(self, model, task_idx, features, labels, rng) -> None:
         if self._inert:
@@ -468,7 +520,7 @@ class Gdumb(Strategy):
         stream = list(self.buffer.tasks) + [
             (np.asarray(features, dtype=np.float64), np.asarray(labels))
         ]
-        gdumb_rebalance(self.buffer, stream, self.budget)
+        gdumb_rebalance(self.buffer, stream, self.mem_size)
 
     def wants_scratch_model(self, task_idx) -> bool:
         return self.scratch_retrain and not self._inert
@@ -482,21 +534,15 @@ class Gdumb(Strategy):
         return stored
 
 
-def _fisher_batch_size(value) -> int:
-    """Checked at construction, so a bad value fails before a task trains."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ConfigurationError(f"fisher_batch_size must be an int >= 1, got {value!r}")
-    return int(value)
-
-
 class Ewc(Strategy):
     """Quadratic pull toward every past task's parameters, Fisher-weighted."""
 
     kind = "ewc"
+    hyperparams = {"ewc_lambda": NON_NEGATIVE, "fisher_batch_size": COUNT}
 
     def __init__(self, ewc_lambda=1.0, fisher_batch_size=64):
-        self.state = EwcState(lam=float(ewc_lambda))
-        self.fisher_batch_size = _fisher_batch_size(fisher_batch_size)
+        self.state = EwcState(lam=ewc_lambda)
+        self.fisher_batch_size = fisher_batch_size
 
     def loss_penalty(self, theta) -> float:
         if self.state.lam == 0.0 or not self.state.anchors:
@@ -518,12 +564,12 @@ class OnlineEwc(Strategy):
     """Single decayed importance accumulator anchored at the latest task end."""
 
     kind = "online_ewc"
+    hyperparams = {"ewc_lambda": NON_NEGATIVE, "decay_factor": UNIT_INTERVAL,
+                   "fisher_batch_size": COUNT}
 
     def __init__(self, ewc_lambda=1.0, decay_factor=0.9, fisher_batch_size=64):
-        if not 0.0 <= decay_factor <= 1.0:
-            raise ConfigurationError("decay_factor must lie in [0, 1]")
-        self.state = OnlineEwcState(lam=float(ewc_lambda), decay=float(decay_factor))
-        self.fisher_batch_size = _fisher_batch_size(fisher_batch_size)
+        self.state = OnlineEwcState(lam=ewc_lambda, decay=decay_factor)
+        self.fisher_batch_size = fisher_batch_size
 
     def loss_penalty(self, theta) -> float:
         if self.state.lam == 0.0:
@@ -547,9 +593,10 @@ class Si(Strategy):
     """Path-integral importance accumulated during training itself."""
 
     kind = "si"
+    hyperparams = {"si_lambda": NON_NEGATIVE, "damping": POSITIVE}
 
-    def __init__(self, si_lambda=1.0, damping=1e-3):
-        self.state = SiState(strength=float(si_lambda), damping=float(damping))
+    def __init__(self, si_lambda=1.0, damping=SI_DAMPING):
+        self.state = SiState(strength=si_lambda, damping=damping)
 
     def before_task(self, model, task_idx, features, labels, rng) -> None:
         self.state.task_start = model.params.values.copy()
@@ -576,12 +623,11 @@ class Lwf(Strategy):
     """Logit distillation against a frozen copy taken at each task start."""
 
     kind = "lwf"
+    hyperparams = {"alpha": NON_NEGATIVE, "lambda_e": NON_NEGATIVE, "temperature": POSITIVE}
 
     def __init__(self, alpha=1.0, temperature=2.0):
-        if temperature <= 0:
-            raise ConfigurationError("temperature must be positive")
-        self.alpha = float(alpha)
-        self.temperature = float(temperature)
+        self.alpha = alpha
+        self.temperature = temperature
         self.teacher_params = None
 
     def before_task(self, model, task_idx, features, labels, rng) -> None:
@@ -609,15 +655,16 @@ class Gem(Strategy):
     task's loss, enforced through the dual QP projection."""
 
     kind = "gem"
+    hyperparams = {"memory_strength": NON_NEGATIVE, "patterns_per_exp": SIZE_OR_NULL,
+                   "qp_iters": COUNT, "qp_tol": POSITIVE}
+    budget_key = "patterns_per_exp"
 
     def __init__(self, memory_strength=0.5, patterns_per_exp=256,
                  qp_iters=5000, qp_tol=1e-10):
-        if memory_strength < 0:
-            raise ConfigurationError("memory_strength must be nonnegative")
-        self.margin = float(memory_strength)
+        self.margin = memory_strength
         self.patterns_per_exp = patterns_per_exp
-        self.qp_iters = int(qp_iters)
-        self.qp_tol = float(qp_tol)
+        self.qp_iters = qp_iters
+        self.qp_tol = qp_tol
         self.buffer = ReplayBuffer()
 
     def transform_gradient(self, grad, model, class_weights, rng):
@@ -638,10 +685,12 @@ class Agem(Strategy):
     random draw over the union of stored memories."""
 
     kind = "agem"
+    hyperparams = {"patterns_per_exp": SIZE_OR_NULL, "sample_size": COUNT}
+    budget_key = "patterns_per_exp"
 
     def __init__(self, patterns_per_exp=256, sample_size=256):
         self.patterns_per_exp = patterns_per_exp
-        self.sample_size = int(sample_size)
+        self.sample_size = sample_size
         self.buffer = ReplayBuffer()
 
     def transform_gradient(self, grad, model, class_weights, rng):
@@ -663,60 +712,30 @@ class Agem(Strategy):
 # ---------------------------------------------------------------------------
 # construction
 
-_ACCEPTED_KEYS = {
-    "naive": set(),
-    "cumulative": set(),
-    "ewc": {"ewc_lambda", "fisher_batch_size"},
-    "online_ewc": {"ewc_lambda", "decay_factor", "fisher_batch_size"},
-    "si": {"si_lambda", "damping"},
-    "lwf": {"alpha", "lambda_e", "temperature"},
-    "replay": {"patterns_per_exp"},
-    "gdumb": {"mem_size", "gdumb_scratch_retrain"},
-    "gem": {"memory_strength", "patterns_per_exp", "qp_iters", "qp_tol"},
-    "agem": {"patterns_per_exp", "sample_size"},
-}
+STRATEGIES = {cls.kind: cls for cls in (
+    Naive, Cumulative, Ewc, OnlineEwc, Si, Lwf, Replay, Gdumb, Gem, Agem,
+)}
 
 
 def build_strategy(name: str, hyperparams=None) -> Strategy:
-    """Instantiate a strategy by name with its grid-vocabulary hyperparameters.
+    """Instantiate a strategy by name with its grid-vocabulary hyperparameters,
+    each checked by its rule and normalised before the constructor sees it.
 
     ``lambda_e`` is accepted as an alias for the distillation weight
     ``alpha``; passing both with different values is an error.
     """
-    hp = dict(hyperparams or {})
-    if name not in _ACCEPTED_KEYS:
+    if name not in STRATEGIES:
         raise ConfigurationError(
-            f"unknown strategy {name!r}; expected one of {', '.join(STRATEGY_KINDS)}"
+            f"unknown strategy {name!r}; expected one of {', '.join(STRATEGIES)}"
         )
-    unknown = set(hp) - _ACCEPTED_KEYS[name]
+    cls = STRATEGIES[name]
+    hp = hyperparams or {}
+    unknown = set(hp) - set(cls.hyperparams)
     if unknown:
-        raise ConfigurationError(
-            f"strategy {name!r} does not accept {sorted(unknown)}"
-        )
-    if name == "lwf" and "lambda_e" in hp:
+        raise ConfigurationError(f"strategy {name!r} does not accept {sorted(unknown)}")
+    hp = {key: cls.hyperparams[key](key, value) for key, value in hp.items()}
+    if "lambda_e" in hp:
         lam_e = hp.pop("lambda_e")
-        if "alpha" in hp and hp["alpha"] != lam_e:
+        if hp.setdefault("alpha", lam_e) != lam_e:
             raise ConfigurationError("alpha and lambda_e disagree; set only one")
-        hp["alpha"] = lam_e
-    if name == "naive":
-        return Naive()
-    if name == "cumulative":
-        return Cumulative()
-    if name == "ewc":
-        return Ewc(**hp)
-    if name == "online_ewc":
-        return OnlineEwc(**hp)
-    if name == "si":
-        return Si(**hp)
-    if name == "lwf":
-        return Lwf(**hp)
-    if name == "replay":
-        return Replay(budget=hp.get("patterns_per_exp", 256))
-    if name == "gdumb":
-        return Gdumb(
-            budget=hp.get("mem_size", 256),
-            scratch_retrain=hp.get("gdumb_scratch_retrain", True),
-        )
-    if name == "gem":
-        return Gem(**hp)
-    return Agem(**hp)
+    return cls(**hp)

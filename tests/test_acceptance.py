@@ -508,7 +508,7 @@ def test_08_buffer_policies(tmp_path):
     # quota buffer: five tasks at budget six, contents checked exactly
     profile5 = _write_profile(
         tmp_path, "five.json", _plain_profile("ward", 5, 200))
-    gdumb = _SpyGdumb(budget=6)
+    gdumb = _SpyGdumb(mem_size=6)
     stream = _drive(profile5, "ward", gdumb, 200)
     assert len(gdumb.snapshots) == 5
     quota_ok = True
@@ -526,7 +526,7 @@ def test_08_buffer_policies(tmp_path):
     # rehearsal buffer: the per-task cap must bind and hold
     profile3 = _write_profile(
         tmp_path, "three.json", _plain_profile("ward", 3, 1200))
-    replay = _SpyReplay(budget=256)
+    replay = _SpyReplay(patterns_per_exp=256)
     stream = _drive(profile3, "ward", replay, 1200)
     train_sizes = [stream.get(k, "train")[1].shape[0] for k in range(3)]
     cap_binds = min(train_sizes) > 256

@@ -54,6 +54,21 @@ def base_config(profile_path, out_dir, **overrides):
     return raw
 
 
+# strategy-key values the strategies' rules reject
+BAD_STRATEGY_VALUES = [
+    ("ewc", "ewc_lambda", "abc"), ("ewc", "ewc_lambda", -1.0), ("si", "si_lambda", True),
+    ("agem", "sample_size", "x"), ("agem", "sample_size", 0), ("gem", "qp_iters", 2.7),
+    ("replay", "patterns_per_exp", "x"), ("replay", "patterns_per_exp", -5),
+    ("replay", "patterns_per_exp", 2.5), ("gdumb", "mem_size", None),
+    ("gdumb", "gdumb_scratch_retrain", "no"), ("lwf", "temperature", "2"),
+    ("online_ewc", "decay_factor", "0.5"), ("si", "damping", -1),
+]
+
+
+def _no_training(*args, **kwargs):
+    raise AssertionError("a candidate or run started training")
+
+
 # ---------------------------------------------------------------------------
 # configuration
 
@@ -187,6 +202,25 @@ class TestConfig:
         assert config.grid == grid
         settings = config.trainer_settings({"batch_size": 16, "learning_rate": 1})
         assert settings.batch_size == 16 and settings.learning_rate == 1.0
+
+    @pytest.mark.parametrize("strategy,key,value", BAD_STRATEGY_VALUES)
+    def test_bad_strategy_values_fail_before_anything_trains(
+        self, profile_path, tmp_path, monkeypatch, strategy, key, value
+    ):
+        monkeypatch.setattr(harness, "run_single", _no_training)
+        with pytest.raises(ConfigurationError, match=key):
+            build_strategy(strategy, {key: value})
+        raw = base_config(profile_path, tmp_path, strategy=strategy, grid={key: [value]})
+        with pytest.raises(ConfigurationError, match=key):
+            harness.config_from_dict(raw)
+        config = harness.config_from_dict(
+            base_config(profile_path, tmp_path / "out", strategy=strategy))
+        config.grid = {key: [value]}
+        with pytest.raises(ConfigurationError, match=key):
+            harness.tune(config)
+        with pytest.raises(ConfigurationError, match=key):
+            harness.run_experiment(config, {key: value})
+        assert not (tmp_path / "out").exists()
 
     def test_valid_configs_keep_their_fingerprints(self):
         raw = {
@@ -786,6 +820,28 @@ class TestCli:
         cfg.write_text(json.dumps(
             base_config(profile_path, tmp_path / "out", grid={"batch_size": ["abc"]})))
         assert cli_main(["tune", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command,strategy,hyperparams", [
+        ("tune", "replay", {"patterns_per_exp": ["x"]}),
+        ("run", "ewc", {"ewc_lambda": "abc"}),
+        ("sweep", "gem", {"qp_iters": 2.7}),
+    ], ids=["tune", "run", "sweep"])
+    def test_bad_strategy_values_exit_2_before_any_training(
+        self, profile_path, tmp_path, monkeypatch, command, strategy, hyperparams
+    ):
+        monkeypatch.setattr(harness, "run_single", _no_training)
+        raw = base_config(profile_path, tmp_path / "out", strategy=strategy)
+        argv = [command, str(tmp_path / "config.json")]
+        if command == "tune":
+            raw["grid"] = hyperparams
+        else:
+            (tmp_path / "hp.json").write_text(json.dumps(hyperparams))
+            argv += ["--hyperparams", str(tmp_path / "hp.json")]
+        if command == "sweep":
+            argv += ["--axis", "curriculum", "--values", "0,1"]
+        (tmp_path / "config.json").write_text(json.dumps(raw))
+        assert cli_main(argv) == 2
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_values_parsed_from_csv_text(self, profile_path, tmp_path):
         raw = base_config(

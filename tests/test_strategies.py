@@ -6,6 +6,10 @@ dual QP. Slow and obviously correct, so the fast implementations have
 something independent to agree with.
 """
 
+import inspect
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,7 +184,7 @@ def test_fisher_hand_logistic_case():
     # Dense 1 -> 2 at zero weights, one sample x=1 with label 1: the
     # per-logit gradient is (0.5, -0.5), so every Fisher entry is 0.25.
     graph = ad.Graph([ad.Dense(1, 2)], ("flat", 1))
-    params = ad.ParameterVector.zeros(graph.param_shapes())
+    params = graph.new_params()
     model = _TinyModel(graph, params)
     fisher = cl.compute_fisher(model, np.array([[1.0]]), np.array([1]))
     assert np.allclose(fisher, 0.25, atol=1e-15)
@@ -448,8 +452,6 @@ def test_lwf_gradient_matches_fd():
 def test_lwf_rejects_non_positive_temperature():
     for temperature in (0.0, -1.0):
         with pytest.raises(ConfigurationError):
-            cl.Lwf(alpha=1.0, temperature=temperature)
-        with pytest.raises(ConfigurationError):
             cl.build_strategy("lwf", {"temperature": temperature})
 
 
@@ -657,7 +659,7 @@ def test_naive_hooks_are_inert():
 
 
 def test_replay_strategy_concatenates_oldest_first():
-    s = cl.Replay(budget=4)
+    s = cl.Replay(patterns_per_exp=4)
     model = small_model()
     rng = np.random.default_rng(0)
     f0, y0 = toy_task(4, seed=1)
@@ -683,7 +685,7 @@ def test_cumulative_stores_everything_without_rng():
 
 
 def test_replay_budget_respected_across_tasks():
-    s = cl.Replay(budget=16)
+    s = cl.Replay(patterns_per_exp=16)
     model = small_model()
     rng = np.random.default_rng(0)
     for t in range(4):
@@ -694,7 +696,7 @@ def test_replay_budget_respected_across_tasks():
 
 
 def test_gdumb_strategy_rebalances_before_training():
-    s = cl.Gdumb(budget=6)
+    s = cl.Gdumb(mem_size=6)
     model = small_model()
     rng = np.random.default_rng(0)
     for t in range(4):
@@ -708,7 +710,7 @@ def test_gdumb_strategy_rebalances_before_training():
 
 
 def test_gdumb_zero_budget_is_inert():
-    s = cl.Gdumb(budget=0)
+    s = cl.Gdumb(mem_size=0)
     model = small_model()
     rng = np.random.default_rng(0)
     f, y = toy_task(10, seed=0)
@@ -832,7 +834,7 @@ def test_si_strategy_full_task_cycle():
 
 
 def test_build_strategy_all_kinds():
-    for kind in cl.STRATEGY_KINDS:
+    for kind in cl.STRATEGIES:
         s = cl.build_strategy(kind)
         assert s.kind == kind
 
@@ -859,4 +861,87 @@ def test_build_strategy_grid_vocabulary():
     s = cl.build_strategy("agem", {"sample_size": 512})
     assert s.sample_size == 512
     s = cl.build_strategy("gdumb", {"mem_size": 64})
-    assert s.budget == 64
+    assert s.mem_size == 64
+
+
+# wrong type, bool for a number, float for an int, out of range
+_BAD_VALUES = {
+    cl.NON_NEGATIVE: ["abc", "1.0", None, True, -1.0, float("nan"), float("inf"), 10**400],
+    cl.POSITIVE: ["2", None, False, 0.0, -1, float("inf")],
+    cl.UNIT_INTERVAL: ["0.5", None, True, -0.1, 1.5],
+    cl.COUNT: ["x", None, True, 2.7, 3.0, 0, -1],
+    cl.SIZE: ["x", None, True, 2.5, -5],
+    cl.SIZE_OR_NULL: ["x", True, 2.5, -5],
+    cl.FLAG: ["no", None, 0, 1],
+}
+_BAD_CASES = [
+    (kind, key, value)
+    for kind, cls in cl.STRATEGIES.items()
+    for key, rule in cls.hyperparams.items()
+    for value in _BAD_VALUES[rule]
+]
+
+
+@pytest.mark.parametrize("kind,key,value", _BAD_CASES,
+                         ids=[f"{k}-{key}-{v!r:.12}" for k, key, v in _BAD_CASES])
+def test_every_declared_key_rejects_bad_values(kind, key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        cl.build_strategy(kind, {key: value})
+
+
+def test_rules_normalise_like_the_old_casts():
+    gem = cl.build_strategy("gem", {"memory_strength": 1, "qp_iters": np.int64(7),
+                                    "qp_tol": 1, "patterns_per_exp": None})
+    assert type(gem.margin) is float and type(gem.qp_tol) is float
+    assert type(gem.qp_iters) is int and gem.qp_iters == 7
+    assert gem.patterns_per_exp is None
+    lwf = cl.build_strategy("lwf", {"lambda_e": 0, "temperature": np.float64(3.0)})
+    assert type(lwf.alpha) is float and lwf.alpha == 0.0
+    assert type(lwf.temperature) is float
+    si = cl.build_strategy("si", {"si_lambda": 2})
+    assert type(si.state.strength) is float and si.state.damping == cl.SI_DAMPING
+    gdumb = cl.build_strategy("gdumb", {"mem_size": 0, "gdumb_scratch_retrain": False})
+    assert gdumb.mem_size == 0 and gdumb.scratch_retrain is False
+
+
+def test_constructor_defaults_pass_their_rules_unchanged():
+    for cls in cl.STRATEGIES.values():
+        params = inspect.signature(cls).parameters
+        for key, rule in cls.hyperparams.items():
+            if key != "lambda_e":
+                default = params[key].default
+                assert rule(key, default) == default, (cls.kind, key)
+
+
+def _readme_strategy_rows():
+    """(strategy, key cell, accepted values, default) rows of the README's
+    strategy table."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("| strategy | key | accepted values | default |")
+    rows = []
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def test_readme_strategy_table_matches_declarations():
+    documented = {}
+    for strategy, key, accepted, default in _readme_strategy_rows():
+        kind = strategy.strip("`")
+        keys = documented.setdefault(kind, set())
+        if not key.startswith("`"):
+            continue  # "none"
+        key = key.strip("`")
+        keys.add(key)
+        cls = cl.STRATEGIES[kind]
+        assert accepted == cls.hyperparams[key].what, (kind, key)
+        if default == "`buffer_budget`":
+            assert key == cls.budget_key, (kind, key)
+        elif key != "lambda_e":
+            want = inspect.signature(cls).parameters[key].default
+            assert json.loads(default.strip("`")) == want, (kind, key)
+    assert documented == {
+        kind: set(cls.hyperparams) for kind, cls in cl.STRATEGIES.items()
+    }
