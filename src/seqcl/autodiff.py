@@ -17,9 +17,33 @@ two calls, ``add_outer`` (example-summed outer products) and ``add_sum``
 (example-summed biases). A ``ParameterVector`` sink sums over the examples
 of the batch; a ``RowGradients`` sink keeps one gradient per example. Both
 run the same reverse loop.
+
+Aliasing contract. Inside a graph, ``Conv1D``, ``Activation`` and
+``MeanPoolTime`` write their outputs, input gradients and temporaries into
+the graph's ``Workspace`` instead of fresh arrays, so a training step or an
+inference chunk reuses the same memory as the last one. An array such a
+layer returns is valid until the graph's next call in the same mode
+(recording forward and its backward, or ``infer``); a recorded forward's
+cached intermediates survive any number of ``infer`` calls. What a graph
+returns is always fresh: logits from ``forward`` and ``infer`` (the last
+layer never writes into the workspace) and every gradient vector. A layer
+used outside a graph allocates every array, as numpy does.
+
+``Graph.infer`` runs in chunks of ``Graph.chunk_rows`` rows, so inference
+memory is bounded whatever the batch size: ``INFER_CHUNK_BYTES`` divided
+by the widest per-row array of a chunk (its input, every layer output, the
+conv windows), rounded down to a multiple of 16. A 1-row tail joins the
+chunk before it, because numpy takes a matrix-vector path for a 1-row
+matmul. Chunked logits then equal one-shot logits bit for bit wherever the
+BLAS rounds each row independently of the row count. OpenBLAS 0.3 does not
+past 100**3 multiply-adds for a 2-column product (the logit layer): there
+it switches kernels, so one-shot logits of a batch above 15 625 rows for a
+32-unit head differ in the last bit from the chunked ones.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,6 +54,9 @@ Array = np.ndarray
 # Probabilities are clipped to this range inside loss values so confident
 # predictions stay finite. Gradients use the unclipped softmax.
 PROB_EPS = 1e-12
+
+# Byte budget of the widest array of one ``Graph.infer`` chunk.
+INFER_CHUNK_BYTES = 4 * 2**20
 
 
 def _f64(x) -> Array:
@@ -165,19 +192,78 @@ class RowGradients:
         self._block(name)[...] += dy if dy.ndim == 2 else dy.sum(axis=1)
 
 
+class Workspace:
+    """Grow-only float64 buffers owned by one graph.
+
+    ``view(key, shape)`` returns a C-contiguous view of the buffer named
+    ``key``, growing the buffer when it is too small. Views are memoized by
+    (key, shape), so a repeated call costs one dict lookup; growing a buffer
+    drops its old views.
+    """
+
+    __slots__ = ("_buffers", "_views")
+
+    def __init__(self):
+        self._buffers = {}
+        self._views = {}
+
+    def view(self, key, shape) -> Array:
+        view = self._views.get((key, shape))
+        if view is None:
+            size = math.prod(shape)
+            buffer = self._buffers.get(key)
+            if buffer is None or buffer.size < size:
+                buffer = self._buffers[key] = np.empty(size)
+                self._views = {k: v for k, v in self._views.items() if k[0] != key}
+            view = self._views[key, shape] = buffer[:size].reshape(shape)
+        return view
+
+
 class Layer:
     """One kernel in a sequential graph. Subclasses cache what backward needs.
 
     ``forward(params, x, record=False)`` computes the same output but keeps
     no intermediates and leaves the cache of the last recorded forward as
     it was; inference runs that way.
+
+    ``caches_input``/``caches_output`` say whether backward reads the
+    layer's input or output array; the graph keeps such arrays out of the
+    buffers it reuses within a pass.
     """
 
     tag = "layer"
+    caches_input = True
+    caches_output = False
 
     def __init__(self):
         self.name = self.tag  # graph assigns a unique name at build time
         self._cache = None
+        self._workspace = None
+        self._out, self._dx = (None, None), None
+
+    def bind(self, workspace: Workspace, index: int, keep_output: bool) -> None:
+        """Route this layer's arrays into a graph's workspace.
+
+        Output keys are indexed by ``record``. An array backward reads gets a
+        buffer owned by this layer; every other array alternates between two
+        graph-wide buffers by layer parity, so a layer never writes the
+        buffer its input or its upstream gradient lives in.
+        """
+        parity = ("parity", index % 2)
+        self._workspace = workspace
+        self._out = (parity, (index, "out") if keep_output else parity)
+        self._dx = parity
+
+    def _buffer(self, key, shape) -> Array:
+        """Destination for an array: a workspace view, or a fresh array when
+        no graph has bound the layer."""
+        if self._workspace is None:
+            return np.empty(shape)
+        return self._workspace.view(key, shape)
+
+    def row_floats(self, in_shape) -> int:
+        """Floats per example of the widest array this layer writes."""
+        return math.prod(self.out_shape(in_shape))
 
     def param_shapes(self):
         """(local name, shape) pairs, empty for parameter-free kernels."""
@@ -196,7 +282,9 @@ class Layer:
 
     def backward(self, params: ParameterVector, grads, dy: Array) -> Array:
         """d loss / d input; parameter gradients go to the sink ``grads``
-        (a ``ParameterVector`` or a ``RowGradients``)."""
+        (a ``ParameterVector`` or a ``RowGradients``). Layers with parameters
+        take a keyword-only ``input_grad``: ``False`` skips d loss / d input
+        and returns None."""
         raise NotImplementedError
 
     def _p(self, local: str) -> str:
@@ -234,10 +322,12 @@ class Dense(Layer):
             self._cache = x
         return x @ params.get(self._p("W")) + params.get(self._p("b"))
 
-    def backward(self, params, grads, dy):
+    def backward(self, params, grads, dy, *, input_grad=True):
         x = self._cache
         grads.add_outer(self._p("W"), x, dy)
         grads.add_sum(self._p("b"), dy)
+        if not input_grad:
+            return None
         return dy @ params.get(self._p("W")).T
 
 
@@ -253,25 +343,32 @@ class Activation(Layer):
             raise ConfigurationError(f"unknown nonlinearity {kind!r}")
         self.kind = kind
         self.tag = kind
+        # relu's backward reads its input, tanh's its output
+        self.caches_input = kind == "relu"
+        self.caches_output = kind == "tanh"
 
     def out_shape(self, in_shape):
         return tuple(in_shape)
 
     def forward(self, params, x, record=True):
+        y = self._buffer(self._out[record], x.shape)
         if self.kind == "relu":
             if record:
                 self._cache = x
-            return np.maximum(x, 0.0)
-        y = np.tanh(x)
+            return np.maximum(x, 0.0, out=y)
+        np.tanh(x, out=y)
         if record:
             self._cache = y
         return y
 
     def backward(self, params, grads, dy):
         c = self._cache
+        dx = self._buffer(self._dx, dy.shape)
         if self.kind == "relu":
-            return dy * (c > 0.0)
-        return dy * (1.0 - c * c)
+            return np.multiply(dy, c > 0.0, out=dx)
+        np.multiply(c, c, out=dx)
+        np.subtract(1.0, dx, out=dx)
+        return np.multiply(dy, dx, out=dx)
 
 
 class Conv1D(Layer):
@@ -281,6 +378,7 @@ class Conv1D(Layer):
     """
 
     tag = "conv1d"
+    caches_input = False  # backward reads the windows, a copy of the input
 
     def __init__(self, in_channels: int, out_channels: int, kernel_size: int):
         super().__init__()
@@ -289,6 +387,14 @@ class Conv1D(Layer):
         self.in_channels = int(in_channels)
         self.out_channels = int(out_channels)
         self.kernel_size = int(kernel_size)
+        self._windows, self._tap = (None, None), None
+
+    def bind(self, workspace, index, keep_output):
+        super().bind(workspace, index, keep_output)
+        # recorded windows are this layer's; inference windows are dead
+        # after the layer's GEMM, so every conv layer shares one buffer
+        self._windows = (("windows",), (index, "windows"))
+        self._tap = ("tap",)
 
     def param_shapes(self):
         k, ci, co = self.kernel_size, self.in_channels, self.out_channels
@@ -309,34 +415,42 @@ class Conv1D(Layer):
             )
         return (t_out, self.out_channels)
 
-    def _windows(self, x):
-        # [N, T_out, k, C_in] gather; a copy keeps backward simple.
-        n, t, _ = x.shape
-        t_out = t - self.kernel_size + 1
-        idx = np.arange(t_out)[:, None] + np.arange(self.kernel_size)[None, :]
-        return x[:, idx, :]
+    def row_floats(self, in_shape):
+        t_out, c_out = self.out_shape(in_shape)
+        return t_out * max(self.kernel_size * self.in_channels, c_out)
 
     def forward(self, params, x, record=True):
         if x.ndim != 3 or x.shape[2] != self.in_channels:
             raise self._shape_error(x.shape)
-        self.out_shape(x.shape[1:])
-        win = self._windows(x)  # [N, T_out, k, C_in]
+        k, c_in, c_out = self.kernel_size, self.in_channels, self.out_channels
+        t_out = self.out_shape(x.shape[1:])[0]
+        n = x.shape[0]
+        # [N, T_out, k, C_in] gather; a copy keeps backward simple. mode="clip"
+        # writes straight into out= (the indices are in range by construction)
+        idx = np.arange(t_out)[:, None] + np.arange(k)[None, :]
+        win = np.take(x, idx, axis=1, mode="clip",
+                      out=self._buffer(self._windows[record], (n, t_out, k, c_in)))
         if record:
             self._cache = (win, x.shape)
-        w = params.get(self._p("W")).reshape(self.kernel_size * self.in_channels, self.out_channels)
-        n, t_out = win.shape[0], win.shape[1]
-        y = win.reshape(n, t_out, -1) @ w + params.get(self._p("b"))
+        w = params.get(self._p("W")).reshape(k * c_in, c_out)
+        y = np.matmul(win.reshape(n, t_out, k * c_in), w,
+                      out=self._buffer(self._out[record], (n, t_out, c_out)))
+        y += params.get(self._p("b"))
         return y
 
-    def backward(self, params, grads, dy):
+    def backward(self, params, grads, dy, *, input_grad=True):
         win, x_shape = self._cache
-        n, t_out = win.shape[0], win.shape[1]
-        grads.add_outer(self._p("W"), win.reshape(n, t_out, -1), dy)
+        n, t_out, k, c_in = win.shape
+        grads.add_outer(self._p("W"), win.reshape(n, t_out, k * c_in), dy)
         grads.add_sum(self._p("b"), dy)
+        if not input_grad:
+            return None
         w = params.get(self._p("W"))
-        dx = np.zeros(x_shape, dtype=np.float64)
-        for j in range(self.kernel_size):
-            dx[:, j : j + t_out, :] += dy @ w[j].T
+        dx = self._buffer(self._dx, x_shape)
+        dx.fill(0.0)
+        tap = self._buffer(self._tap, (n, t_out, c_in))
+        for j in range(k):
+            dx[:, j : j + t_out, :] += np.matmul(dy, w[j].T, out=tap)
         return dx
 
 
@@ -414,7 +528,7 @@ class LSTM(Layer):
             return out[:, ::-1, :]
         return out
 
-    def backward(self, params, grads, dy):
+    def backward(self, params, grads, dy, *, input_grad=True):
         if self.reverse:
             dy = dy[:, ::-1, :]
         steps = self._cache
@@ -424,7 +538,7 @@ class LSTM(Layer):
         wh = params.get(self._p("Wh"))
         name_wx, name_wh, name_b = self._p("Wx"), self._p("Wh"), self._p("b")
         n = dy.shape[0]
-        dx = np.empty((n, t, self.in_dim))
+        dx = np.empty((n, t, self.in_dim)) if input_grad else None
         dh_next = np.zeros((n, h_dim))
         dc_next = np.zeros((n, h_dim))
         for ti in range(t - 1, -1, -1):
@@ -447,10 +561,11 @@ class LSTM(Layer):
             grads.add_outer(name_wx, x_t, dz)
             grads.add_outer(name_wh, h_prev, dz)
             grads.add_sum(name_b, dz)
-            dx[:, ti, :] = dz @ wx.T
+            if input_grad:
+                dx[:, ti, :] = dz @ wx.T
             dh_next = dz @ wh.T
             dc_next = dc * f
-        if self.reverse:
+        if self.reverse and input_grad:
             return dx[:, ::-1, :]
         return dx
 
@@ -496,17 +611,18 @@ class BiLSTM(Layer):
         bw = self.bw.forward(params, x, record=record)
         return np.concatenate([fw, bw], axis=2)
 
-    def backward(self, params, grads, dy):
+    def backward(self, params, grads, dy, *, input_grad=True):
         h = self.hidden_dim
-        return self.fw.backward(params, grads, dy[:, :, :h]) + self.bw.backward(
-            params, grads, dy[:, :, h:]
-        )
+        dx_fw = self.fw.backward(params, grads, dy[:, :, :h], input_grad=input_grad)
+        dx_bw = self.bw.backward(params, grads, dy[:, :, h:], input_grad=input_grad)
+        return dx_fw + dx_bw if input_grad else None
 
 
 class MeanPoolTime(Layer):
     """Global mean over the time axis: [N, T, C] -> [N, C]."""
 
     tag = "meanpool"
+    caches_input = False
 
     def out_shape(self, in_shape):
         if len(in_shape) != 2:
@@ -518,17 +634,20 @@ class MeanPoolTime(Layer):
             raise self._shape_error(x.shape)
         if record:
             self._cache = x.shape[1]
-        return x.mean(axis=1)
+        return np.mean(x, axis=1, out=self._buffer(self._out[record], (x.shape[0], x.shape[2])))
 
     def backward(self, params, grads, dy):
         t = self._cache
-        return np.repeat(dy[:, None, :] / t, t, axis=1)
+        dx = self._buffer(self._dx, (dy.shape[0], t, dy.shape[1]))
+        dx[...] = dy[:, None, :] / t
+        return dx
 
 
 class LastStep(Layer):
     """Sequence readout: the final hidden state, [N, T, H] -> [N, H]."""
 
     tag = "laststep"
+    caches_input = False
 
     def out_shape(self, in_shape):
         if len(in_shape) != 2:
@@ -551,6 +670,7 @@ class BiLastStep(Layer):
     final step and the reverse half at the first step, [N, T, 2H] -> [N, 2H]."""
 
     tag = "bilaststep"
+    caches_input = False
 
     def __init__(self, hidden_dim: int):
         super().__init__()
@@ -590,6 +710,15 @@ class Graph:
     intermediates nor disturbs the state of the last forward.
     Single-threaded by design: one graph instance owns one forward-state at
     a time.
+
+    The graph owns the ``Workspace`` its layers write into: an array a
+    layer returns is valid until the graph's next call in the same mode,
+    while the logits of ``forward``/``infer`` and every gradient are fresh.
+    ``infer`` runs in chunks of ``chunk_rows`` rows, ``INFER_CHUNK_BYTES``
+    over the widest per-row array rounded down to a multiple of 16, a 1-row
+    tail joining the chunk before it (see the module docstring). The
+    reverse pass skips the layers before the first one with parameters and
+    that layer's input gradient, which nothing reads.
     """
 
     def __init__(self, layers, input_signature):
@@ -600,11 +729,13 @@ class Graph:
         names = set()
         shapes = []
         shape = tuple(input_signature[1:])
+        widest = math.prod(shape)
         for idx, layer in enumerate(self.layers):
             layer.name = f"L{idx}.{layer.tag}"
             if layer.name in names:
                 raise ConfigurationError(f"duplicate layer name {layer.name!r}")
             names.add(layer.name)
+            widest = max(widest, layer.row_floats(shape))
             shape = layer.out_shape(shape)
             for local, pshape in layer.param_shapes():
                 shapes.append((f"{layer.name}.{local}", pshape))
@@ -615,6 +746,15 @@ class Graph:
         self._param_shapes = shapes
         self._grad_template = ParameterVector.zeros(shapes)
         self._logits = None
+        self.chunk_rows = max(16, INFER_CHUNK_BYTES // (8 * widest) // 16 * 16)
+        self._first_trainable = next(
+            (idx for idx, layer in enumerate(self.layers) if layer.param_shapes()),
+            len(self.layers),
+        )
+        # the last layer keeps allocating, so the logits are always fresh
+        workspace = Workspace()
+        for idx, (layer, consumer) in enumerate(zip(self.layers, self.layers[1:])):
+            layer.bind(workspace, idx, layer.caches_output or consumer.caches_input)
 
     def init_specs(self):
         out = []
@@ -626,7 +766,9 @@ class Graph:
     def new_params(self) -> ParameterVector:
         return ParameterVector.zeros(self._param_shapes)
 
-    def _check_input(self, batch: Array):
+    def _input(self, batch) -> Array:
+        """``batch`` as float64, checked against the input signature."""
+        batch = _f64(batch)
         sig = self.input_signature
         if sig[0] == "flat":
             if batch.ndim != 2 or batch.shape[1] != sig[1]:
@@ -639,23 +781,31 @@ class Graph:
                     f"graph expects sequence input [N, {sig[1]}, {sig[2]}], "
                     f"got {tuple(batch.shape)}"
                 )
+        return batch
 
-    def _run(self, params: ParameterVector, batch, record: bool) -> Array:
-        x = _f64(batch)
-        self._check_input(x)
+    def _run(self, params: ParameterVector, x: Array, record: bool) -> Array:
         for layer in self.layers:
             x = layer.forward(params, x, record=record)
         return x
 
     def forward(self, params: ParameterVector, batch) -> Array:
-        x = self._run(params, batch, record=True)
+        x = self._run(params, self._input(batch), record=True)
         self._logits = x
         self._params_used = params
         return x
 
     def infer(self, params: ParameterVector, batch) -> Array:
-        """Logits of ``batch`` with no backward state kept or overwritten."""
-        return self._run(params, batch, record=False)
+        """Logits of ``batch`` with no backward state kept or overwritten,
+        computed in chunks of ``chunk_rows`` rows."""
+        x = self._input(batch)
+        n, rows = x.shape[0], self.chunk_rows
+        # a 1-row tail joins the chunk before it: a 1-row matmul takes
+        # numpy's matrix-vector path, which can round differently
+        bounds = [*range(0, n - 1, rows), n] if n > 1 else [0, n]
+        if len(bounds) == 2:
+            return self._run(params, x, record=False)
+        return np.concatenate([self._run(params, x[start:stop], record=False)
+                               for start, stop in zip(bounds, bounds[1:])])
 
     def loss(self, labels, class_weights):
         """(weighted CE, d loss / d logits) of the last recorded forward."""
@@ -687,9 +837,12 @@ class Graph:
             raise UsageError(
                 f"dlogits shape {dlogits.shape} does not match logits {self._logits.shape}"
             )
+        params, first = self._params_used, self._first_trainable
         dx = dlogits
-        for layer in reversed(self.layers):
-            dx = layer.backward(self._params_used, grads, dx)
+        for layer in reversed(self.layers[first + 1 :]):
+            dx = layer.backward(params, grads, dx)
+        if first < len(self.layers):
+            self.layers[first].backward(params, grads, dx, input_grad=False)
         return grads
 
 
