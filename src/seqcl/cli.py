@@ -21,6 +21,7 @@ from .harness import (
     tune,
     write_tune_result,
 )
+from .rules import SIZE
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +50,7 @@ def _parse_axis_values(text):
 
 
 def _cmd_generate_data(args):
+    SIZE("--seed", args.seed)
     profile = resolve_profile(args.profile)
     cohort = generate_cohort(profile, seed=args.seed)
     write_dataset(cohort, args.out)

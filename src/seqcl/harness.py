@@ -11,7 +11,7 @@ import itertools
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +32,11 @@ from .errors import (
     UndefinedMetricError,
 )
 from .metrics import AccuracyMatrix, bootstrap_ci, forgetting
-from .models import ArchitectureSpec, build_model
-from .strategies import SI_DAMPING, SIZE_OR_NULL, STRATEGIES, build_strategy
+from .models import ARCHITECTURE_RULES, ArchitectureSpec, build_model
+from .rules import COUNT, SIZE, SIZE_OR_NULL, Rule, check
+from .strategies import SI_DAMPING, STRATEGIES, build_strategy
 from .training import (
+    TRAINER_RULES,
     TaskStream,
     TrainerSettings,
     compute_class_weights,
@@ -43,40 +45,30 @@ from .training import (
 
 log = logging.getLogger(__name__)
 
-_ARCH_KEYS = {"kind", "n_layers", "hidden_dim", "nonlinearity", "bidirectional",
-              "kernel_size"}
+# architecture config key -> rule: the spec's rules under the config's names
+_ARCH_RULES = {"n_layers" if name == "n_feature_layers" else name: rule
+               for name, rule in ARCHITECTURE_RULES.items()}
 _DATA_KEYS = {"profile", "path", "seed"}
 
+# experiment-level key -> rule; the trainer keys go through TRAINER_RULES
+EXPERIMENT_RULES = {
+    "n_runs": COUNT,
+    "master_seed": SIZE,
+    "data.seed": SIZE,
+    "curriculum": Rule(
+        "an int >= 0 (an order seed) or a list of domain names",
+        lambda v: SIZE.accepts(v) or (
+            isinstance(v, (list, tuple)) and all(isinstance(name, str) for name in v)),
+    ),
+}
+
+# generic (strategy-independent) hyperparameters a grid or --hyperparams may carry
+GENERIC_RULES = {
+    **{key: rule for key, rule in _ARCH_RULES.items() if key != "kind"},
+    **{key: rule for key, rule in TRAINER_RULES.items() if key != "epochs_per_task"},
+}
+
 PARTITION_SITE = 0x9A27
-
-
-def _require(value, kinds, message):
-    """Type check of one config value; bools are rejected even where ints
-    are accepted."""
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        raise ConfigurationError(f"{message}, got {value!r}")
-
-
-_TRAINER_KINDS = {"batch_size": ((int,), "an int"),
-                  "learning_rate": ((int, float), "a number"),
-                  "momentum": ((int, float), "a number")}
-
-# generic (strategy-independent) hyperparameters the tuning grid may carry
-GENERIC_KEYS = (_ARCH_KEYS - {"kind"}) | set(_TRAINER_KINDS)
-
-
-def _check_value(config, key, value) -> None:
-    """Type and range check of one hyperparameter value (a grid entry or a
-    tuned value) as the run would use it; strategy keys go through their
-    strategy's rule."""
-    if key in _ARCH_KEYS:
-        config.architecture_spec({key: value})
-    elif key in _TRAINER_KINDS:
-        kinds, what = _TRAINER_KINDS[key]
-        _require(value, kinds, f"{key} must be {what}")
-        config.trainer_settings({key: value}).validate()
-    else:
-        STRATEGIES[config.strategy].hyperparams[key](key, value)
 
 
 @dataclass
@@ -97,29 +89,20 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def validate(self):
-        for name in ("epochs_per_task", "batch_size", "n_runs", "master_seed"):
-            _require(getattr(self, name), (int,), f"{name} must be an int")
-        for name in ("learning_rate", "momentum"):
-            _require(getattr(self, name), (int, float), f"{name} must be a number")
-        listed = isinstance(self.curriculum, (list, tuple)) and all(
-            isinstance(v, str) for v in self.curriculum)
-        if not listed:
-            _require(self.curriculum, (int,),
-                     "curriculum must be an int order seed or a list of domain names")
-        if self.n_runs < 1:
-            raise ConfigurationError("n_runs must be >= 1")
         unknown = set(self.data) - _DATA_KEYS
         if unknown:
             raise ConfigurationError(f"unknown data keys {sorted(unknown)}")
         if ("profile" in self.data) == ("path" in self.data):
             raise ConfigurationError("data needs exactly one of 'profile' or 'path'")
-        _require(self.data.get("seed", 0), (int,), "data.seed must be an int")
-        unknown = set(self.architecture) - _ARCH_KEYS
+        check(EXPERIMENT_RULES, {**vars(self), "data.seed": self.data.get("seed", 0)})
+        check(TRAINER_RULES, vars(self))
+        unknown = set(self.architecture) - set(_ARCH_RULES)
         if unknown:
             raise ConfigurationError(f"unknown architecture keys {sorted(unknown)}")
         if "kind" not in self.architecture:
             raise ConfigurationError("architecture needs a 'kind'")
-        self.architecture_spec()  # validates the remaining fields
+        check(_ARCH_RULES, self.architecture)
+        self.architecture_spec()  # the cross-field checks
         strategy = build_strategy(self.strategy)  # name check
         for key, values in self.grid.items():
             if not isinstance(values, (list, tuple)) or not values:
@@ -129,23 +112,14 @@ class ExperimentConfig:
         # the budget key's own rule, where there is one: gdumb's rejects null
         budget_rule = strategy.hyperparams.get(strategy.budget_key, SIZE_OR_NULL)
         budget_rule(f"buffer_budget for {self.strategy}", self.buffer_budget)
-        TrainerSettings(
-            epochs_per_task=self.epochs_per_task,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            momentum=self.momentum,
-        ).validate()
 
     def architecture_spec(self, overrides=None) -> ArchitectureSpec:
         merged = dict(self.architecture)
-        for key in _ARCH_KEYS & set(overrides or {}):
+        for key in _ARCH_RULES.keys() & set(overrides or {}):
             merged[key] = overrides[key]
-        kwargs = dict(merged)
-        if "n_layers" in kwargs:
-            kwargs["n_feature_layers"] = kwargs.pop("n_layers")
-        spec = ArchitectureSpec(**kwargs)
-        spec.validate()
-        return spec
+        if "n_layers" in merged:
+            merged["n_feature_layers"] = merged.pop("n_layers")
+        return ArchitectureSpec(**merged).validate()
 
     def trainer_settings(self, overrides=None) -> TrainerSettings:
         overrides = overrides or {}
@@ -157,11 +131,7 @@ class ExperimentConfig:
         )
 
 
-_CONFIG_FIELDS = {
-    "data", "domain_key", "architecture", "strategy", "output_dir", "grid",
-    "curriculum", "epochs_per_task", "batch_size", "learning_rate", "momentum",
-    "n_runs", "buffer_budget", "master_seed",
-}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 _REQUIRED_FIELDS = {"data", "domain_key", "architecture", "strategy", "output_dir"}
 
 
@@ -189,7 +159,7 @@ def config_from_file(path) -> ExperimentConfig:
 
 def config_fingerprint(config: ExperimentConfig) -> str:
     """Stable digest of everything that shapes results (output path excluded)."""
-    payload = asdict(config)
+    payload = _jsonable(asdict(config))  # rules accept numpy ints as well
     payload.pop("output_dir")
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -219,10 +189,10 @@ def load_partitions(config: ExperimentConfig):
         profile = resolve_profile(config.data["profile"])
         cohort = generate_cohort(profile, seed=int(config.data.get("seed", 0)))
     curriculum = config.curriculum
-    if isinstance(curriculum, int):
-        tasks = split_tasks(cohort, config.domain_key, order_seed=curriculum)
-    else:
+    if isinstance(curriculum, (list, tuple)):
         tasks = split_tasks(cohort, config.domain_key, curriculum=list(curriculum))
+    else:
+        tasks = split_tasks(cohort, config.domain_key, order_seed=curriculum)
     partitions = []
     for idx, task in enumerate(tasks):
         partitions.append(
@@ -245,14 +215,16 @@ def _strategy_hyperparams(config: ExperimentConfig, chosen: dict) -> dict:
 
 
 def _check_hyperparams(config: ExperimentConfig, hyperparams: dict) -> None:
-    allowed = GENERIC_KEYS | set(STRATEGIES[config.strategy].hyperparams)
-    unknown = set(hyperparams) - allowed
+    """Each value by its key's rule, then the architecture it makes as a whole."""
+    rules = {**GENERIC_RULES, **STRATEGIES[config.strategy].hyperparams}
+    unknown = set(hyperparams) - set(rules)
     if unknown:
         raise ConfigurationError(
             f"unknown hyperparameters {sorted(unknown)} for strategy {config.strategy!r}"
         )
     for key, value in hyperparams.items():
-        _check_value(config, key, value)
+        rules[key](key, value)
+    config.architecture_spec(hyperparams)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +260,6 @@ def tune(config: ExperimentConfig, partitions=None):
     ]
     scored = []
     for candidate in candidates:
-        _check_hyperparams(config, candidate)
         spec = config.architecture_spec(candidate)
         t, d = _input_dims(partitions[0])
         strategy = build_strategy(
@@ -332,7 +303,7 @@ def write_tune_result(config: ExperimentConfig, result: dict) -> Path:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "tune.json"
-    path.write_text(json.dumps(result, indent=2, sort_keys=True))
+    path.write_text(json.dumps(_jsonable(result), indent=2, sort_keys=True))
     return path
 
 
@@ -372,7 +343,9 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
     into training. Class weights come from the first two tasks' training
     labels once, before any exclusion. Each run writes one JSONL metric
     stream; a failed run leaves a diagnostic file and the experiment moves
-    on to its remaining seeds.
+    on to its remaining seeds. Either replaces what an earlier invocation
+    left for that run, and ``metadata.json``, written last, lists the runs
+    that ``report`` reads.
     """
     config.validate()
     hyperparams = dict(hyperparams or {})
@@ -402,9 +375,15 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     fingerprint = config_fingerprint(config)
 
+    # metadata.json indexes the runs a report reads; it is rewritten at the end
+    (out_dir / "metadata.json").unlink(missing_ok=True)
     run_outputs = []
     run_meta = []
     for run_idx in range(config.n_runs):
+        path = out_dir / f"run_{run_idx:02d}.jsonl"
+        failed_path = out_dir / f"run_{run_idx:02d}.failed.json"
+        for stale in (path, failed_path):  # a previous invocation's outcome
+            stale.unlink(missing_ok=True)
         stream = TaskStream(final_partitions, merge_val_into_train=merge_val)
         strategy = build_strategy(
             config.strategy, _strategy_hyperparams(config, hyperparams)
@@ -432,9 +411,7 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
             for extra in ("residual", "iterations"):
                 if hasattr(err, extra):
                     diagnostic[extra] = _jsonable(getattr(err, extra))
-            (out_dir / f"run_{run_idx:02d}.failed.json").write_text(
-                json.dumps(diagnostic, indent=2, sort_keys=True)
-            )
+            failed_path.write_text(json.dumps(diagnostic, indent=2, sort_keys=True))
             run_meta.append(diagnostic)
             log.warning("run %d failed: %s", run_idx, err)
             continue
@@ -453,7 +430,6 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
         if bad_epochs:
             raise SeqclError(f"epoch accounting violated: {bad_epochs}")
 
-        path = out_dir / f"run_{run_idx:02d}.jsonl"
         with path.open("w") as fh:
             fh.write(json.dumps({"fingerprint": fingerprint, "run": run_idx}) + "\n")
             for record in out.records:
@@ -469,8 +445,8 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
 
     metadata = {
         "fingerprint": fingerprint,
-        "config": _jsonable(asdict(config)),
-        "chosen_hyperparams": _jsonable(hyperparams),
+        "config": asdict(config),
+        "chosen_hyperparams": hyperparams,
         "class_weights": list(class_weights),
         "library_version": __version__,
         "defaults": {
@@ -488,7 +464,7 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
         "runs": run_meta,
     }
     (out_dir / "metadata.json").write_text(
-        json.dumps(metadata, indent=2, sort_keys=True)
+        json.dumps(_jsonable(metadata), indent=2, sort_keys=True)
     )
     if not run_outputs:
         raise SeqclError("every run failed; see diagnostic files")
@@ -500,17 +476,22 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
 
 
 def _read_experiment(exp_dir: Path):
+    """metadata.json and the records of every run it lists as ok."""
     meta_path = exp_dir / "metadata.json"
     if not meta_path.exists():
         raise ReportError(f"{exp_dir} has no metadata.json")
     metadata = json.loads(meta_path.read_text())
     runs = {}
     fingerprints = {metadata["fingerprint"]}
-    for path in sorted(exp_dir.glob("run_*.jsonl")):
+    for entry in metadata["runs"]:
+        if entry["status"] != "ok":
+            continue
+        path = exp_dir / f"run_{entry['run']:02d}.jsonl"
+        if not path.exists():
+            raise ReportError(f"{exp_dir} lists run {entry['run']} as ok but has no {path.name}")
         with path.open() as fh:
-            header = json.loads(fh.readline())
-            fingerprints.add(header["fingerprint"])
-            runs[header["run"]] = [json.loads(line) for line in fh]
+            fingerprints.add(json.loads(fh.readline())["fingerprint"])
+            runs[entry["run"]] = [json.loads(line) for line in fh]
     if len(fingerprints) > 1:
         raise ReportError(
             "mixed config fingerprints in one directory: "

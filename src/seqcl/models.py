@@ -22,9 +22,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigurationError, DataError
+from .rules import COUNT, FLAG, check, int_range, one_of
 
 MODEL_KINDS = ("mlp", "cnn1d", "lstm")
-NONLINEARITIES = ad.Activation.KINDS
+
+# ArchitectureSpec field -> rule
+ARCHITECTURE_RULES = {
+    "kind": one_of(MODEL_KINDS), "n_feature_layers": int_range(1, 4), "hidden_dim": COUNT,
+    "nonlinearity": one_of(ad.Activation.KINDS), "bidirectional": FLAG, "kernel_size": COUNT,
+}
 
 
 @dataclass(frozen=True)
@@ -37,26 +43,9 @@ class ArchitectureSpec:
     kernel_size: int = 3
 
     def validate(self) -> "ArchitectureSpec":
-        for name in ("n_feature_layers", "hidden_dim", "kernel_size"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ConfigurationError(f"{name} must be an int, got {value!r}")
-        if not isinstance(self.bidirectional, (bool, np.bool_)):
-            raise ConfigurationError(f"bidirectional must be a bool, got {self.bidirectional!r}")
-        if self.kind not in MODEL_KINDS:
-            raise ConfigurationError(f"unknown model kind {self.kind!r}")
-        if not 1 <= self.n_feature_layers <= 4:
-            raise ConfigurationError(
-                f"n_feature_layers must be in 1..4, got {self.n_feature_layers}"
-            )
-        if self.hidden_dim < 1:
-            raise ConfigurationError(f"hidden_dim must be positive, got {self.hidden_dim}")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ConfigurationError(f"unknown nonlinearity {self.nonlinearity!r}")
+        check(ARCHITECTURE_RULES, vars(self))
         if self.bidirectional and self.kind != "lstm":
             raise ConfigurationError("bidirectional is only meaningful for lstm models")
-        if self.kind == "cnn1d" and self.kernel_size < 1:
-            raise ConfigurationError(f"kernel_size must be >= 1, got {self.kernel_size}")
         return self
 
 

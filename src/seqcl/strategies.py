@@ -17,20 +17,18 @@ The math lives in module-level functions (``ewc_penalty``, ``gem_project``,
 brute-force oracles without building a model.
 
 Each strategy class declares its grid vocabulary once, in ``hyperparams``
-(grid key -> ``Rule``). ``build_strategy`` and the harness's grid checks
-apply those rules, so constructors only store values.
+(grid key -> ``rules.Rule``). ``build_strategy`` and the harness's grid
+checks apply those rules, so constructors only store values.
 """
 
 import logging
-import math
-import numbers
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .autodiff import _check_labels, log_softmax, softmax, weighted_ce_with_grad
 from .errors import ConfigurationError, QpNonConvergenceError, UsageError
+from .rules import COUNT, FLAG, NON_NEGATIVE, POSITIVE, SIZE, SIZE_OR_NULL, UNIT_INTERVAL
 
 log = logging.getLogger(__name__)
 
@@ -359,49 +357,6 @@ def agem_project(grad, ref_grad) -> np.ndarray:
         log.warning("zero reference gradient; projection skipped")
         return grad
     return grad - (dot / denom) * ref_grad
-
-
-# ---------------------------------------------------------------------------
-# hyperparameter rules
-
-
-@dataclass(frozen=True)
-class Rule:
-    """Check of one grid value: ``rule(key, value)`` returns the value
-    normalised for a constructor, or raises ConfigurationError naming key."""
-
-    what: str
-    accepts: Callable
-    normalise: Callable
-
-    def __call__(self, key, value):
-        if not self.accepts(value):
-            raise ConfigurationError(f"{key} must be {self.what}, got {value!r}")
-        return self.normalise(value)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A real that converts to a finite float (an int past float range does not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return False
-    try:
-        return math.isfinite(float(value))
-    except OverflowError:
-        return False
-
-
-NON_NEGATIVE = Rule("a finite number >= 0", lambda v: _is_number(v) and v >= 0, float)
-POSITIVE = Rule("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
-UNIT_INTERVAL = Rule("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1, float)
-COUNT = Rule("an int >= 1", lambda v: _is_int(v) and v >= 1, int)
-SIZE = Rule("an int >= 0", lambda v: _is_int(v) and v >= 0, int)
-SIZE_OR_NULL = Rule("an int >= 0 or null", lambda v: v is None or SIZE.accepts(v),
-                    lambda v: None if v is None else int(v))
-FLAG = Rule("true or false", lambda v: isinstance(v, bool), bool)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .metrics import METRIC_NAMES, summarize_classification
 from .models import predict
+from .rules import COUNT, HALF_OPEN_UNIT, NON_NEGATIVE, check
 from .strategies import Strategy
 
 # fixed per-site tags folded into the seed tuple
@@ -111,6 +112,11 @@ class TaskStream:
         )
 
 
+# TrainerSettings field -> rule
+TRAINER_RULES = {"epochs_per_task": COUNT, "batch_size": COUNT,
+                 "learning_rate": NON_NEGATIVE, "momentum": HALF_OPEN_UNIT}
+
+
 @dataclass
 class TrainerSettings:
     epochs_per_task: int = 40
@@ -119,14 +125,7 @@ class TrainerSettings:
     momentum: float = 0.0
 
     def validate(self):
-        if self.epochs_per_task < 1:
-            raise ConfigurationError("epochs_per_task must be >= 1")
-        if self.batch_size < 1:
-            raise ConfigurationError("batch_size must be >= 1")
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError("momentum must lie in [0, 1)")
+        check(TRAINER_RULES, vars(self))
 
 
 @dataclass

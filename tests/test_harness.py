@@ -2,6 +2,7 @@
 determinism, reporting, sweeps, and the CLI wrapper."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,13 @@ from seqcl.errors import ConfigurationError, ReportError, SeqclError
 from seqcl.metrics import AccuracyMatrix, forgetting
 from seqcl.models import ArchitectureSpec, build_model
 from seqcl.strategies import Cumulative, build_strategy
-from seqcl.training import TaskStream, TrainerSettings, evaluate_seen_tasks, run_single
+from seqcl.training import (
+    TRAINER_RULES,
+    TaskStream,
+    TrainerSettings,
+    evaluate_seen_tasks,
+    run_single,
+)
 
 
 def small_profile(n_domains=3, n_patients=400, key="site", prevalence=0.30):
@@ -53,6 +60,8 @@ def base_config(profile_path, out_dir, **overrides):
     raw.update(overrides)
     return raw
 
+
+NAN, INF = float("nan"), float("inf")
 
 # strategy-key values the strategies' rules reject
 BAD_STRATEGY_VALUES = [
@@ -160,6 +169,9 @@ class TestConfig:
         ("epochs_per_task", 2.0), ("batch_size", True), ("n_runs", 1.5),
         ("master_seed", None), ("learning_rate", "0.1"), ("learning_rate", None),
         ("momentum", False), ("data.seed", "7"), ("data.seed", True),
+        ("learning_rate", NAN), ("learning_rate", INF), ("learning_rate", -INF),
+        ("momentum", NAN), ("momentum", INF), ("momentum", -INF),
+        ("master_seed", -1), ("data.seed", -1), ("curriculum", -1),
     ])
     def test_wrong_typed_values_are_configuration_errors(
         self, profile_path, tmp_path, key, value
@@ -179,9 +191,12 @@ class TestConfig:
         ("learning_rate", -0.1, "learning_rate"), ("momentum", False, "momentum"),
         ("momentum", 1.0, "momentum"), ("hidden_dim", "abc", "hidden_dim"),
         ("hidden_dim", 2.5, "hidden_dim"), ("hidden_dim", 0, "hidden_dim"),
-        ("n_layers", True, "n_feature_layers"), ("n_layers", 5, "n_feature_layers"),
+        ("n_layers", True, "n_layers"), ("n_layers", 5, "n_layers"),
         ("kernel_size", 1.0, "kernel_size"), ("nonlinearity", 3, "nonlinearity"),
         ("bidirectional", "yes", "bidirectional"),
+        ("learning_rate", NAN, "learning_rate"), ("learning_rate", INF, "learning_rate"),
+        ("learning_rate", -INF, "learning_rate"), ("momentum", NAN, "momentum"),
+        ("momentum", INF, "momentum"), ("momentum", -INF, "momentum"),
     ])
     def test_wrong_typed_grid_values_are_configuration_errors(
         self, profile_path, tmp_path, key, value, message
@@ -237,6 +252,42 @@ class TestConfig:
         raw.update(curriculum=3, momentum=0.5, buffer_budget=None, learning_rate=1)
         config = harness.config_from_dict(raw)
         assert harness.config_fingerprint(config) == "a46468f1520f015e"
+
+    def test_readme_tables_show_each_rule(self):
+        def accepted_values(after):
+            """{key: accepted values} of the first README table after ``after``."""
+            text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+            lines = text[text.index(after):].splitlines()
+            header = next(i for i, line in enumerate(lines) if line.startswith("| key |"))
+            column = [c.strip() for c in lines[header].strip("|").split("|")].index(
+                "accepted values")
+            table = {}
+            for line in lines[header + 2:]:
+                if not line.startswith("|"):
+                    return table
+                cells = [c.strip() for c in line.strip("|").split("|")]
+                table[cells[0].strip("`")] = cells[column]
+
+        def shown(rules):
+            return {key: rule.what for key, rule in rules.items()}
+
+        top = accepted_values("Top-level keys of the experiment config")
+        for key, what in {**shown(harness.EXPERIMENT_RULES), **shown(TRAINER_RULES)}.items():
+            assert what in top[key.split(".")[0]], key
+        assert accepted_values("Architecture keys") == shown(harness._ARCH_RULES)
+        assert accepted_values("Generic keys") == shown(harness.GENERIC_RULES)
+
+    def test_numpy_ints_pass_as_ints_end_to_end(self, profile_path, tmp_path):
+        raw = base_config(profile_path, tmp_path / "out", n_runs=1, master_seed=5,
+                          curriculum=0, grid={"batch_size": [16]})
+        numpy_raw = {**raw, "n_runs": np.int64(1), "master_seed": np.int64(5),
+                     "curriculum": np.int64(0), "grid": {"batch_size": [np.int64(16)]}}
+        config = harness.config_from_dict(numpy_raw)
+        want = harness.config_fingerprint(harness.config_from_dict(raw))
+        assert harness.config_fingerprint(config) == want
+        harness.write_tune_result(config, harness.tune(config))
+        harness.run_experiment(config, {"batch_size": np.int64(16)})
+        assert harness.report(tmp_path / "out")["experiments"][0]["fingerprint"] == want
 
     def test_fingerprint_ignores_output_dir_only(self, profile_path, tmp_path):
         a = harness.config_from_dict(base_config(profile_path, tmp_path / "a"))
@@ -407,6 +458,23 @@ class TestRunExperiment:
         with pytest.raises(SeqclError, match="every run failed"):
             harness.run_experiment(config)
 
+    def test_a_rerun_replaces_every_run_artifact(self, profile_path, tmp_path):
+        out = tmp_path / "out"
+        config = harness.config_from_dict(base_config(profile_path, out, strategy="gem"))
+        harness.run_experiment(config, {})
+        assert harness.report(out)["experiments"][0]["n_runs"] == 2
+        # hyperparameters are not in the fingerprint; this setting fails every run
+        with pytest.raises(SeqclError, match="every run failed"):
+            harness.run_experiment(config, {"qp_iters": 1, "qp_tol": 1e-300})
+        meta = json.loads((out / "metadata.json").read_text())
+        assert [r["status"] for r in meta["runs"]] == ["failed", "failed"]
+        assert sorted(p.name for p in out.glob("run_*")) == [
+            "run_00.failed.json", "run_01.failed.json"]
+        with pytest.raises(ReportError, match="no completed runs"):
+            harness.report(out)
+        harness.run_experiment(config, {})
+        assert sorted(p.name for p in out.glob("run_*")) == ["run_00.jsonl", "run_01.jsonl"]
+
     def test_unlimited_replay_matches_cumulative_record_for_record(
         self, profile_path, tmp_path
     ):
@@ -569,6 +637,7 @@ def write_fake_experiment(exp_dir, per_run_matrices, fingerprint="f" * 16,
             "strategy": strategy,
             "architecture": {"kind": "mlp"},
         },
+        "runs": [{"run": run_idx, "status": "ok"} for run_idx in range(len(per_run_matrices))],
     }
     (exp_dir / "metadata.json").write_text(json.dumps(meta))
     for run_idx, matrix in enumerate(per_run_matrices):
@@ -643,10 +712,28 @@ class TestReport:
                               fingerprint="a" * 16)
         rogue = (tmp_path / "exp" / "run_07.jsonl")
         rogue.write_text(json.dumps({"fingerprint": "b" * 16, "run": 7}) + "\n")
+        meta_path = tmp_path / "exp" / "metadata.json"
+        meta = json.loads(meta_path.read_text())
+        meta["runs"].append({"run": 7, "status": "ok"})
+        meta_path.write_text(json.dumps(meta))
         with pytest.raises(ReportError) as err:
             harness.report(tmp_path / "exp")
         assert "a" * 16 in str(err.value)
         assert "b" * 16 in str(err.value)
+
+    def test_report_reads_exactly_the_runs_listed_as_ok(self, tmp_path):
+        exp = tmp_path / "exp"
+        write_fake_experiment(exp, [[[0.8], [0.7, 0.9]], [[0.6], [0.6, 0.8]]])
+        (exp / "run_02.jsonl").write_bytes((exp / "run_00.jsonl").read_bytes())
+        meta = json.loads((exp / "metadata.json").read_text())
+        meta["runs"][1]["status"] = "failed"
+        (exp / "metadata.json").write_text(json.dumps(meta))
+        row = harness.report(exp)["experiments"][0]
+        assert row["n_runs"] == 1
+        assert row["final_balanced_accuracy_mean"] == pytest.approx(0.8)
+        (exp / "run_00.jsonl").unlink()
+        with pytest.raises(ReportError, match="run_00.jsonl"):
+            harness.report(exp)
 
     def test_directory_of_experiments_yields_one_row_each(self, tmp_path):
         write_fake_experiment(tmp_path / "grp" / "one", [[[0.8], [0.7, 0.9]]],
@@ -777,6 +864,20 @@ class TestCli:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(raw))
         assert cli_main(["run", str(cfg)]) == 2
+
+    def test_non_finite_learning_rate_exits_2(self, profile_path, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(profile_path, tmp_path / "out",
+                                              learning_rate=NAN)))
+        assert '"learning_rate": NaN' in cfg.read_text()
+        assert cli_main(["run", str(cfg)]) == 2
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_exits_2_from_generate_data(self, tmp_path, capsys):
+        out = tmp_path / "cohort.npz"
+        assert cli_main(["generate-data", "sites3", str(out), "--seed", "-1"]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_failure_exits_3(self, profile_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import seqcl.autodiff as ad
+import seqcl.rules as rules
 import seqcl.strategies as cl
 from seqcl.errors import ConfigurationError, DataError, QpNonConvergenceError, UsageError
 from seqcl.models import ArchitectureSpec, build_model
@@ -866,13 +867,13 @@ def test_build_strategy_grid_vocabulary():
 
 # wrong type, bool for a number, float for an int, out of range
 _BAD_VALUES = {
-    cl.NON_NEGATIVE: ["abc", "1.0", None, True, -1.0, float("nan"), float("inf"), 10**400],
-    cl.POSITIVE: ["2", None, False, 0.0, -1, float("inf")],
-    cl.UNIT_INTERVAL: ["0.5", None, True, -0.1, 1.5],
-    cl.COUNT: ["x", None, True, 2.7, 3.0, 0, -1],
-    cl.SIZE: ["x", None, True, 2.5, -5],
-    cl.SIZE_OR_NULL: ["x", True, 2.5, -5],
-    cl.FLAG: ["no", None, 0, 1],
+    rules.NON_NEGATIVE: ["abc", "1.0", None, True, -1.0, float("nan"), float("inf"), 10**400],
+    rules.POSITIVE: ["2", None, False, 0.0, -1, float("nan"), float("inf")],
+    rules.UNIT_INTERVAL: ["0.5", None, True, -0.1, 1.5, float("nan")],
+    rules.COUNT: ["x", None, True, 2.7, 3.0, 0, -1],
+    rules.SIZE: ["x", None, True, 2.5, -5],
+    rules.SIZE_OR_NULL: ["x", True, 2.5, -5],
+    rules.FLAG: ["no", None, 0, 1],
 }
 _BAD_CASES = [
     (kind, key, value)
