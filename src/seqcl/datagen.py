@@ -39,6 +39,7 @@ import numpy as np
 
 from .blobio import read_bundle, write_bundle
 from .errors import ConfigurationError, DataError, DataFormatError
+from .rules import COUNT, NON_NEGATIVE, OPEN_UNIT, SIZE, check, one_of
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +77,14 @@ class DomainSpec:
             self.label_direction = direction / norm
 
 
+# ShiftProfile scalar field -> rule
+PROFILE_RULES = {
+    "n_patients": COUNT, "n_timevarying": COUNT, "n_static": SIZE, "seq_len": COUNT,
+    "noise_scale": NON_NEGATIVE, "base_prevalence": OPEN_UNIT,
+    "label_amplitude": NON_NEGATIVE, "label_signal": one_of(("ramp", "level")),
+}
+
+
 @dataclass
 class ShiftProfile:
     """Everything generate_cohort needs to synthesise one cohort."""
@@ -96,16 +105,7 @@ class ShiftProfile:
     admission_probs: tuple = (0.7, 0.2, 0.1)  # P(1), P(2), ... admissions
 
     def validate(self) -> "ShiftProfile":
-        if self.n_patients < 1:
-            raise ConfigurationError("n_patients must be positive")
-        if self.label_signal not in ("ramp", "level"):
-            raise ConfigurationError(
-                f"label_signal must be 'ramp' or 'level', got {self.label_signal!r}"
-            )
-        if self.seq_len < 1 or self.n_timevarying < 1 or self.n_static < 0:
-            raise ConfigurationError("dims must be positive (statics may be 0)")
-        if not 0.0 < self.base_prevalence < 1.0:
-            raise ConfigurationError("base_prevalence must be in (0, 1)")
+        check(PROFILE_RULES, vars(self))
         if not self.domains:
             raise ConfigurationError("profile needs at least one domain key")
         dim = self.n_timevarying + self.n_static
@@ -627,7 +627,10 @@ def conflicting_stream_profile(key, prefix, n_patients, dt, seq_len, amplitude,
     values into the same weights, so sequential training overwrites earlier
     tasks, while the per-domain orthogonal and static offsets keep the pooled
     problem learnable. There is one domain per angle and two static features.
+    The three orthogonal offsets need ``dt >= 6`` time-varying features.
     """
+    if dt < 6:
+        raise ConfigurationError(f"conflicting stream profile needs dt >= 6, got dt={dt}")
     n_domains = len(angles_deg)
     u = np.ones(dt) / np.sqrt(dt)
     v = np.zeros(dt)

@@ -532,11 +532,10 @@ def final_mean_forgetting(records, epochs_per_task):
     return mean
 
 
-def summarize_experiment(exp_dir, bootstrap_seed=0) -> dict:
-    """Per-experiment summary row: final balanced accuracy and forgetting,
-    means with bootstrap confidence intervals across runs."""
-    exp_dir = Path(exp_dir)
-    metadata, runs = _read_experiment(exp_dir)
+def summarize_experiment(name, metadata, runs, bootstrap_seed=0) -> dict:
+    """Per-experiment summary row from ``_read_experiment``'s metadata and
+    runs: final balanced accuracy and forgetting, means with bootstrap
+    confidence intervals across runs."""
     epochs = metadata["config"]["epochs_per_task"]
     finals, forgets = [], []
     for records in runs.values():
@@ -547,7 +546,7 @@ def summarize_experiment(exp_dir, bootstrap_seed=0) -> dict:
         if f is not None:
             forgets.append(f)
     row = {
-        "experiment": exp_dir.name,
+        "experiment": name,
         "strategy": metadata["config"]["strategy"],
         "architecture": metadata["config"]["architecture"].get("kind"),
         "n_runs": len(runs),
@@ -623,9 +622,8 @@ def report(results_dir) -> dict:
 
     summary_rows = []
     for exp_dir in exp_dirs:
-        row = summarize_experiment(exp_dir)
-        summary_rows.append(row)
-        _, runs = _read_experiment(exp_dir)
+        metadata, runs = _read_experiment(exp_dir)
+        summary_rows.append(summarize_experiment(exp_dir.name, metadata, runs))
         series = _series_rows(runs)
         per_task = [r for r in series if r["eval_task"] is not None]
         seen_avg = [r for r in series if r["eval_task"] is None]

@@ -3,9 +3,10 @@
 A ``Rule`` checks one value of one key: ``rule(key, value)`` raises
 ConfigurationError naming the key, or returns the value normalised for a
 constructor. Each owner declares one table, key -> rule: the architecture in
-``models``, the trainer in ``training``, each strategy in its ``hyperparams``
-and the experiment-level keys in ``harness``. Every config check, grid and
-``--hyperparams`` values included, is a lookup in those tables.
+``models``, the trainer in ``training``, each strategy in its ``hyperparams``,
+the experiment-level keys in ``harness`` and a cohort profile's scalars in
+``datagen``. Every config check, grid and ``--hyperparams`` values included,
+is a lookup in those tables.
 """
 
 import math
@@ -55,6 +56,7 @@ NON_NEGATIVE = Rule("a finite number >= 0", lambda v: _is_number(v) and v >= 0, 
 POSITIVE = Rule("a finite number > 0", lambda v: _is_number(v) and v > 0, float)
 UNIT_INTERVAL = Rule("a number in [0, 1]", lambda v: _is_number(v) and 0 <= v <= 1, float)
 HALF_OPEN_UNIT = Rule("a number in [0, 1)", lambda v: _is_number(v) and 0 <= v < 1, float)
+OPEN_UNIT = Rule("a number in (0, 1)", lambda v: _is_number(v) and 0 < v < 1, float)
 COUNT = Rule("an int >= 1", lambda v: _is_int(v) and v >= 1, int)
 SIZE = Rule("an int >= 0", lambda v: _is_int(v) and v >= 0, int)
 SIZE_OR_NULL = Rule("an int >= 0 or null", lambda v: v is None or SIZE.accepts(v),

@@ -1,9 +1,11 @@
 """Continual-learning strategy plugins.
 
-Each strategy is a bundle of hooks consumed by the training loop: a loss
-penalty, a gradient transform applied before the optimizer step, and
-task-boundary callbacks that snapshot anchors or refill rehearsal buffers.
+Each strategy is a bundle of hooks consumed by the training loop: a penalty
+gradient, a gradient transform applied before the optimizer step, and
+task-boundary callbacks that build anchors or refill rehearsal buffers.
 Unimplemented hooks are no-ops, so ``Naive`` is literally the base class.
+EWC, online EWC and SI share one penalty representation, the quadratic
+``Anchor``.
 Every gradient, the trainer's and the ones strategies take for themselves
 (Fisher rows, GEM and A-GEM references), comes from the same graph calls:
 ``forward``, then dlogits (``Graph.loss`` plus any ``batch_loss`` term),
@@ -12,9 +14,9 @@ read it summed over the batch (``backward_from_dlogits``); the Fisher reads
 it per example (``row_gradients``, the ``RowGradients`` sink), one pass per
 chunk.
 
-The math lives in module-level functions (``ewc_penalty``, ``gem_project``,
-``solve_dual_qp``, ...) so it can be checked against hand values and
-brute-force oracles without building a model.
+The math lives in ``Anchor`` and module-level functions (``gem_project``,
+``solve_dual_qp``, ``si_consolidate``, ...) so it can be checked against
+hand values and brute-force oracles without building a model.
 
 Each strategy class declares its grid vocabulary once, in ``hyperparams``
 (grid key -> ``rules.Rule``). ``build_strategy`` and the harness's grid
@@ -36,136 +38,49 @@ SI_DAMPING = 1e-3  # SI's default xi in Omega = omega / (drift^2 + xi)
 
 
 # ---------------------------------------------------------------------------
-# regularization state and math
+# quadratic anchors and importance math
 
 
-@dataclass
-class EwcState:
-    """One (anchor, Fisher) pair per finished task, shared strength."""
+@dataclass(frozen=True)
+class Anchor:
+    """A quadratic pull toward a stored parameter state.
 
-    lam: float
-    anchors: list = field(default_factory=list)
-    fishers: list = field(default_factory=list)
+    The penalty is (1/2) * sum_i kappa_i (theta_i - centre_i)^2 and its
+    gradient ``kappa * (theta - centre)``. EWC keeps one anchor per finished
+    task with kappa = lam * F_t, online EWC one with kappa = lam * F_run, SI
+    one with kappa = (2 * lam) * Omega; each is built when its task ends.
+    """
 
+    kappa: np.ndarray
+    centre: np.ndarray
 
-@dataclass
-class OnlineEwcState:
-    lam: float
-    decay: float
-    running_fisher: np.ndarray | None = None
-    anchor: np.ndarray | None = None
-
-
-@dataclass
-class SiState:
-    strength: float
-    damping: float = SI_DAMPING
-    omega: np.ndarray | None = None
-    consolidated: np.ndarray | None = None
-    anchor: np.ndarray | None = None
-    task_start: np.ndarray | None = None
+    def gradient(self, theta) -> np.ndarray:
+        return self.kappa * (theta - self.centre)
 
 
-def _aligned(theta, other, what):
-    other = np.asarray(other, dtype=np.float64)
-    if other.shape != theta.shape:
-        raise UsageError(
-            f"{what} has shape {other.shape}, parameters have {theta.shape}"
-        )
-    return other
-
-
-def ewc_penalty(theta, state: EwcState) -> float:
-    """sum over past tasks of (lam/2) * sum_i F_i (theta_i - anchor_i)^2."""
-    theta = np.asarray(theta, dtype=np.float64)
-    if len(state.anchors) != len(state.fishers):
-        raise UsageError("anchor/fisher lists differ in length")
-    total = 0.0
-    for anchor, fisher in zip(state.anchors, state.fishers):
-        anchor = _aligned(theta, anchor, "anchor")
-        fisher = _aligned(theta, fisher, "fisher")
-        diff = theta - anchor
-        total += 0.5 * state.lam * float(np.dot(fisher, diff * diff))
-    return total
-
-
-def ewc_penalty_gradient(theta, state: EwcState) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
+def _summed_gradient(anchors, theta):
+    """The anchors' gradients summed from zeros in list order; None for none."""
+    if not anchors:
+        return None
     grad = np.zeros_like(theta)
-    for anchor, fisher in zip(state.anchors, state.fishers):
-        anchor = _aligned(theta, anchor, "anchor")
-        fisher = _aligned(theta, fisher, "fisher")
-        grad += state.lam * fisher * (theta - anchor)
+    for anchor in anchors:
+        grad += anchor.gradient(theta)
     return grad
-
-
-def online_ewc_penalty(theta, state: OnlineEwcState) -> float:
-    if state.anchor is None:
-        return 0.0
-    theta = np.asarray(theta, dtype=np.float64)
-    diff = theta - _aligned(theta, state.anchor, "anchor")
-    fisher = _aligned(theta, state.running_fisher, "running fisher")
-    return 0.5 * state.lam * float(np.dot(fisher, diff * diff))
-
-
-def online_ewc_penalty_gradient(theta, state: OnlineEwcState) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if state.anchor is None:
-        return np.zeros_like(theta)
-    fisher = _aligned(theta, state.running_fisher, "running fisher")
-    return state.lam * fisher * (theta - _aligned(theta, state.anchor, "anchor"))
 
 
 def online_ewc_merge(running, fresh, decay) -> np.ndarray:
     """Running importance update: decay * running + fresh."""
-    fresh = np.asarray(fresh, dtype=np.float64)
-    if running is None:
-        return fresh.copy()
-    running = np.asarray(running, dtype=np.float64)
-    if running.shape != fresh.shape:
-        raise UsageError("running and fresh importance vectors differ in shape")
-    return decay * running + fresh
+    return fresh if running is None else decay * running + fresh
 
 
-def si_observe(state: SiState, grad, delta) -> None:
-    """Per-step path integral: omega += (-g) * delta_theta, elementwise."""
-    grad = np.asarray(grad, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if state.omega is None:
-        state.omega = np.zeros_like(grad)
-    state.omega += (-grad) * delta
+def si_observe(omega, grad, delta) -> None:
+    """Per-step path integral, in place: omega += (-g) * delta_theta."""
+    omega += (-grad) * delta
 
 
-def si_consolidate(state: SiState, theta_end) -> None:
-    """Fold this task's omega into the consolidated importance and re-anchor."""
-    theta_end = np.asarray(theta_end, dtype=np.float64)
-    if state.task_start is None:
-        raise UsageError("si_consolidate before any task start")
-    drift = theta_end - state.task_start
-    contribution = state.omega / (drift * drift + state.damping)
-    if state.consolidated is None:
-        state.consolidated = np.zeros_like(theta_end)
-    state.consolidated += contribution
-    state.omega = np.zeros_like(theta_end)
-    state.anchor = theta_end.copy()
-
-
-def si_penalty(theta, state: SiState) -> float:
-    """strength * sum_i Omega_i (theta_i - anchor_i)^2 (no 1/2)."""
-    if state.consolidated is None or state.anchor is None:
-        return 0.0
-    theta = np.asarray(theta, dtype=np.float64)
-    diff = theta - _aligned(theta, state.anchor, "anchor")
-    omega = _aligned(theta, state.consolidated, "consolidated importance")
-    return state.strength * float(np.dot(omega, diff * diff))
-
-
-def si_penalty_gradient(theta, state: SiState) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.float64)
-    if state.consolidated is None or state.anchor is None:
-        return np.zeros_like(theta)
-    omega = _aligned(theta, state.consolidated, "consolidated importance")
-    return 2.0 * state.strength * omega * (theta - _aligned(theta, state.anchor, "anchor"))
+def si_consolidate(omega, drift, damping) -> np.ndarray:
+    """One task's importance: omega / (drift^2 + xi), elementwise."""
+    return omega / (drift * drift + damping)
 
 
 def compute_fisher(model, features, labels, batch_size=64) -> np.ndarray:
@@ -374,8 +289,7 @@ class Strategy:
     Hook order per task, as driven by the trainer: before_task, optional
     scratch reinit, training_data, then per batch (batch_loss,
     penalty_gradient, transform_gradient, optimizer step, per_step_observe),
-    and after_task once the epoch budget is spent. The trainer never calls
-    loss_penalty; it is the value whose gradient penalty_gradient returns.
+    and after_task once the epoch budget is spent.
     """
 
     kind = "naive"
@@ -395,11 +309,9 @@ class Strategy:
         """Extra loss on top of the weighted CE; returns (value, dlogits or None)."""
         return 0.0, None
 
-    def loss_penalty(self, theta) -> float:
-        return 0.0
-
     def penalty_gradient(self, theta):
-        """Gradient of loss_penalty, or None when there is nothing to add."""
+        """Gradient of a quadratic anchor penalty, or None when there is
+        nothing to add."""
         return None
 
     def transform_gradient(self, grad, model, class_weights, rng):
@@ -496,23 +408,16 @@ class Ewc(Strategy):
     hyperparams = {"ewc_lambda": NON_NEGATIVE, "fisher_batch_size": COUNT}
 
     def __init__(self, ewc_lambda=1.0, fisher_batch_size=64):
-        self.state = EwcState(lam=ewc_lambda)
+        self.lam = ewc_lambda
         self.fisher_batch_size = fisher_batch_size
-
-    def loss_penalty(self, theta) -> float:
-        if self.state.lam == 0.0 or not self.state.anchors:
-            return 0.0
-        return ewc_penalty(theta, self.state)
+        self.anchors = []  # one per finished task, oldest first
 
     def penalty_gradient(self, theta):
-        if self.state.lam == 0.0 or not self.state.anchors:
-            return None
-        return ewc_penalty_gradient(theta, self.state)
+        return None if self.lam == 0.0 else _summed_gradient(self.anchors, theta)
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         fisher = compute_fisher(model, features, labels, self.fisher_batch_size)
-        self.state.anchors.append(model.params.values.copy())
-        self.state.fishers.append(fisher)
+        self.anchors.append(Anchor(self.lam * fisher, model.params.values.copy()))
 
 
 class OnlineEwc(Strategy):
@@ -523,25 +428,19 @@ class OnlineEwc(Strategy):
                    "fisher_batch_size": COUNT}
 
     def __init__(self, ewc_lambda=1.0, decay_factor=0.9, fisher_batch_size=64):
-        self.state = OnlineEwcState(lam=ewc_lambda, decay=decay_factor)
+        self.lam = ewc_lambda
+        self.decay = decay_factor
         self.fisher_batch_size = fisher_batch_size
-
-    def loss_penalty(self, theta) -> float:
-        if self.state.lam == 0.0:
-            return 0.0
-        return online_ewc_penalty(theta, self.state)
+        self.running_fisher = None
+        self.anchor = None
 
     def penalty_gradient(self, theta):
-        if self.state.lam == 0.0 or self.state.anchor is None:
-            return None
-        return online_ewc_penalty_gradient(theta, self.state)
+        return None if self.lam == 0.0 or self.anchor is None else self.anchor.gradient(theta)
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         fresh = compute_fisher(model, features, labels, self.fisher_batch_size)
-        self.state.running_fisher = online_ewc_merge(
-            self.state.running_fisher, fresh, self.state.decay
-        )
-        self.state.anchor = model.params.values.copy()
+        self.running_fisher = online_ewc_merge(self.running_fisher, fresh, self.decay)
+        self.anchor = Anchor(self.lam * self.running_fisher, model.params.values.copy())
 
 
 class Si(Strategy):
@@ -551,27 +450,29 @@ class Si(Strategy):
     hyperparams = {"si_lambda": NON_NEGATIVE, "damping": POSITIVE}
 
     def __init__(self, si_lambda=1.0, damping=SI_DAMPING):
-        self.state = SiState(strength=si_lambda, damping=damping)
+        self.strength = si_lambda
+        self.damping = damping
+        self.importance = None  # consolidated Omega over finished tasks
+        self.anchor = None
+        self.omega = None  # this task's path integral
+        self.task_start = None
 
     def before_task(self, model, task_idx, features, labels, rng) -> None:
-        self.state.task_start = model.params.values.copy()
-        self.state.omega = model.params.zeros_like()
-
-    def loss_penalty(self, theta) -> float:
-        if self.state.strength == 0.0:
-            return 0.0
-        return si_penalty(theta, self.state)
+        self.task_start = model.params.values.copy()
+        self.omega = model.params.zeros_like()
 
     def penalty_gradient(self, theta):
-        if self.state.strength == 0.0 or self.state.anchor is None:
-            return None
-        return si_penalty_gradient(theta, self.state)
+        return None if self.strength == 0.0 or self.anchor is None else self.anchor.gradient(theta)
 
     def per_step_observe(self, grad, delta) -> None:
-        si_observe(self.state, grad, delta)
+        si_observe(self.omega, grad, delta)
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
-        si_consolidate(self.state, model.params.values)
+        theta = model.params.values
+        if self.importance is None:
+            self.importance = np.zeros_like(theta)
+        self.importance += si_consolidate(self.omega, theta - self.task_start, self.damping)
+        self.anchor = Anchor((2.0 * self.strength) * self.importance, theta.copy())
 
 
 class Lwf(Strategy):

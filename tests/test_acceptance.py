@@ -300,31 +300,25 @@ def test_04_penalties_vanish_at_anchor_and_gradients_match():
     fisher = rng.uniform(0.1, 2.0, size=dim)
     off = rng.normal(size=dim)
 
-    ewc_state = cl.EwcState(lam=0.7, anchors=[anchor.copy()],
-                            fishers=[fisher.copy()])
-    online_state = cl.OnlineEwcState(lam=0.9, decay=0.8,
-                                     running_fisher=fisher.copy(),
-                                     anchor=anchor.copy())
-    si_state = cl.SiState(strength=1.3, consolidated=fisher.copy(),
-                          anchor=anchor.copy())
+    # kappa = scale * importance: lam * F for EWC and online EWC, 2 lam * Omega for SI
+    scales = (0.7, 0.9, 2.0 * 1.3)
+    anchors = [cl.Anchor(scale * fisher, anchor.copy()) for scale in scales]
 
-    zeros = (
-        cl.ewc_penalty(anchor.copy(), ewc_state),
-        cl.online_ewc_penalty(anchor.copy(), online_state),
-        cl.si_penalty(anchor.copy(), si_state),
-    )
-    gaps = (
-        np.max(np.abs(cl.ewc_penalty_gradient(off, ewc_state)
-                      - _fd_vector(lambda t: cl.ewc_penalty(t, ewc_state), off))),
-        np.max(np.abs(cl.online_ewc_penalty_gradient(off, online_state)
-                      - _fd_vector(lambda t: cl.online_ewc_penalty(t, online_state), off))),
-        np.max(np.abs(cl.si_penalty_gradient(off, si_state)
-                      - _fd_vector(lambda t: cl.si_penalty(t, si_state), off))),
+    def penalty(scale, theta):
+        """(1/2) * sum kappa (theta - anchor)^2, with kappa = scale * fisher."""
+        diff = theta - anchor
+        return 0.5 * scale * float(np.dot(fisher, diff * diff))
+
+    zeros = tuple(penalty(scale, anchor.copy()) for scale in scales)
+    still = all(np.all(a.gradient(anchor.copy()) == 0.0) for a in anchors)
+    gaps = tuple(
+        np.max(np.abs(a.gradient(off) - _fd_vector(lambda t: penalty(scale, t), off)))
+        for scale, a in zip(scales, anchors)
     )
     _verdict(
         4,
         "penalties vanish at anchors, penalty gradients match differences",
-        all(z == 0.0 for z in zeros) and all(g < 1e-6 for g in gaps),
+        still and all(z == 0.0 for z in zeros) and all(g < 1e-6 for g in gaps),
         f"anchor values {zeros}, max fd gaps "
         f"{tuple(f'{g:.2e}' for g in gaps)}",
     )

@@ -1,7 +1,9 @@
 """Cohort synthesis, task splitting, partitioning, on-disk format."""
 
+import dataclasses
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +325,11 @@ def test_builtin_profiles_and_streams():
         dg.builtin_profile("nonsense")
     with pytest.raises(ConfigurationError):
         dg.builtin_profile("hospital1")
+    with pytest.raises(ConfigurationError, match="dt=4"):
+        dg.conflicting_stream_profile(
+            key="site", prefix="site", n_patients=300, dt=4,
+            seq_len=6, amplitude=2.8, prevalence=0.25, angles_deg=(0.0, 180.0),
+        )
 
 
 def test_every_builtin_task_has_both_classes():
@@ -361,6 +368,36 @@ def test_profile_json_roundtrip(tmp_path):
     assert np.array_equal(a.labels, b.labels)
     with pytest.raises(ConfigurationError):
         dg.ShiftProfile.from_json_dict({"n_patients": 5, "bogus": 1})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("noise_scale", float("nan")), ("label_amplitude", float("inf")), ("n_patients", "240"),
+    ("n_patients", 240.0), ("n_static", -1), ("seq_len", True), ("base_prevalence", 1.0),
+    ("noise_scale", -0.5), ("label_signal", "step"),
+])
+def test_profile_scalars_are_checked_by_their_rules(key, value):
+    payload = {"n_patients": 40, "domains": {"site": [
+        {"name": "a", "mean_offset": [0.0] * 10, "prevalence": 0.3}]}}
+    dg.ShiftProfile.from_json_dict(payload)
+    with pytest.raises(ConfigurationError, match=key):
+        dg.ShiftProfile.from_json_dict({**payload, key: value})
+
+
+def test_readme_profile_table_matches_the_rules():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("| field | meaning | accepted values | default |")
+    defaults = {f.name: f.default for f in dataclasses.fields(dg.ShiftProfile)}
+    documented = set()
+    for line in text[start:].splitlines()[2:]:
+        if not line.startswith("|"):
+            break
+        field, _, accepted, default = (cell.strip() for cell in line.strip("|").split("|"))
+        key = field.strip("`")
+        documented.add(key)
+        assert accepted == dg.PROFILE_RULES[key].what, key
+        if default != "required":
+            assert json.loads(default.strip("`")) == defaults[key], key
+    assert documented == set(dg.PROFILE_RULES)
 
 
 def test_directory_named_like_a_profile_is_not_read_as_one(tmp_path, monkeypatch):

@@ -735,6 +735,24 @@ class TestReport:
         with pytest.raises(ReportError, match="run_00.jsonl"):
             harness.report(exp)
 
+    def test_report_opens_each_listed_run_once(self, tmp_path, monkeypatch):
+        write_fake_experiment(tmp_path / "grp" / "one", [[[0.8], [0.7, 0.9]]] * 3)
+        write_fake_experiment(tmp_path / "grp" / "two", [[[0.6], [0.6, 0.8]]] * 2)
+        opened = []
+        real_open = Path.open
+
+        def counting_open(path, *args, **kwargs):
+            if path.suffix == ".jsonl":
+                opened.append(path.relative_to(tmp_path).as_posix())
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        harness.report(tmp_path / "grp")
+        assert sorted(opened) == [
+            "grp/one/run_00.jsonl", "grp/one/run_01.jsonl", "grp/one/run_02.jsonl",
+            "grp/two/run_00.jsonl", "grp/two/run_01.jsonl",
+        ]
+
     def test_directory_of_experiments_yields_one_row_each(self, tmp_path):
         write_fake_experiment(tmp_path / "grp" / "one", [[[0.8], [0.7, 0.9]]],
                               strategy="naive")
@@ -877,6 +895,25 @@ class TestCli:
         out = tmp_path / "cohort.npz"
         assert cli_main(["generate-data", "sites3", str(out), "--seed", "-1"]) == 2
         assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("noise_scale", NAN), ("label_amplitude", INF), ("n_patients", "240"),
+    ])
+    @pytest.mark.parametrize("command", ["generate-data", "run"])
+    def test_bad_profile_scalar_exits_2_before_writing(self, tmp_path, capsys,
+                                                       command, key, value):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({**small_profile(), key: value}))
+        out = tmp_path / "out"
+        if command == "run":
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(base_config(profile, out)))
+            argv = ["run", str(cfg)]
+        else:
+            argv = ["generate-data", str(profile), str(out)]
+        assert cli_main(argv) == 2
+        assert key in capsys.readouterr().err
         assert not out.exists()
 
     def test_run_failure_exits_3(self, profile_path, tmp_path, monkeypatch):

@@ -9,6 +9,7 @@ something independent to agree with.
 import inspect
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -131,54 +132,70 @@ def toy_task(n, seed, t=3, d=2):
     return features, labels
 
 
+def anchor_penalty(anchors, theta):
+    """Test-side oracle: sum over anchors of (1/2) * sum kappa (theta - centre)^2,
+    the value whose gradient ``penalty_gradient`` returns."""
+    return sum(0.5 * float(np.dot(a.kappa, (theta - a.centre) ** 2)) for a in anchors)
+
+
+def at_params(values):
+    """The model surface the anchor-building hooks read: its parameters."""
+    values = np.array(values, dtype=np.float64)
+    return SimpleNamespace(params=ad.ParameterVector(values, [("theta", 0, values.shape)]))
+
+
+@pytest.fixture
+def fishers(monkeypatch):
+    """Queue of Fisher vectors that ``compute_fisher`` hands out in order."""
+    queue = []
+    monkeypatch.setattr(cl, "compute_fisher", lambda model, f, y, batch_size: queue.pop(0))
+    return queue
+
+
 # ---------------------------------------------------------------------------
 # EWC
 
 
-def test_ewc_penalty_hand_value():
-    state = cl.EwcState(lam=2.0)
-    state.anchors.append(np.array([0.0, 0.0]))
-    state.fishers.append(np.array([1.0, 2.0]))
+def test_ewc_penalty_hand_value(fishers):
+    s = cl.Ewc(ewc_lambda=2.0)
+    fishers.append(np.array([1.0, 2.0]))
+    s.after_task(at_params([0.0, 0.0]), 0, None, None, None)
     theta = np.array([1.0, -1.0])
-    assert cl.ewc_penalty(theta, state) == pytest.approx(3.0, abs=1e-15)
+    assert np.array_equal(s.penalty_gradient(theta), [2.0, -4.0])
+    assert anchor_penalty(s.anchors, theta) == pytest.approx(3.0, abs=1e-15)
 
 
-def test_ewc_penalty_zero_at_anchor_and_zero_lambda():
+def test_ewc_penalty_zero_at_anchor_and_zero_lambda(fishers):
     theta = np.array([0.3, -0.7, 2.0])
-    state = cl.EwcState(lam=5.0)
-    state.anchors.append(theta.copy())
-    state.fishers.append(np.array([1.0, 4.0, 0.5]))
-    assert cl.ewc_penalty(theta, state) == 0.0
-    state.lam = 0.0
-    assert cl.ewc_penalty(theta + 1.0, state) == 0.0
+    s = cl.Ewc(ewc_lambda=5.0)
+    fishers.append(np.array([1.0, 4.0, 0.5]))
+    s.after_task(at_params(theta), 0, None, None, None)
+    assert anchor_penalty(s.anchors, theta) == 0.0
+    assert np.array_equal(s.penalty_gradient(theta), np.zeros(3))
+    off = cl.Ewc(ewc_lambda=0.0)
+    fishers.append(np.array([1.0, 4.0, 0.5]))
+    off.after_task(at_params(theta), 0, None, None, None)
+    assert off.penalty_gradient(theta + 1.0) is None
 
 
-def test_ewc_penalty_positive_off_anchor():
-    state = cl.EwcState(lam=1.0)
-    state.anchors.append(np.zeros(3))
-    state.fishers.append(np.array([0.0, 1.0, 0.0]))
-    assert cl.ewc_penalty(np.array([5.0, 0.0, 5.0]), state) == 0.0
-    assert cl.ewc_penalty(np.array([0.0, 0.1, 0.0]), state) > 0.0
+def test_ewc_penalty_positive_off_anchor(fishers):
+    s = cl.Ewc(ewc_lambda=1.0)
+    fishers.append(np.array([0.0, 1.0, 0.0]))
+    s.after_task(at_params(np.zeros(3)), 0, None, None, None)
+    assert anchor_penalty(s.anchors, np.array([5.0, 0.0, 5.0])) == 0.0
+    assert anchor_penalty(s.anchors, np.array([0.0, 0.1, 0.0])) > 0.0
 
 
-def test_ewc_gradient_matches_fd_over_multiple_anchors():
+def test_ewc_gradient_matches_fd_over_multiple_anchors(fishers):
     rng = np.random.default_rng(3)
-    state = cl.EwcState(lam=1.7)
-    for _ in range(3):
-        state.anchors.append(rng.normal(size=6))
-        state.fishers.append(rng.random(6))
+    s = cl.Ewc(ewc_lambda=1.7)
+    for task in range(3):
+        fishers.append(rng.random(6))
+        s.after_task(at_params(rng.normal(size=6)), task, None, None, None)
     theta = rng.normal(size=6)
-    analytic = cl.ewc_penalty_gradient(theta, state)
-    fd = fd_gradient(lambda t: cl.ewc_penalty(t, state), theta)
+    analytic = s.penalty_gradient(theta)
+    fd = fd_gradient(lambda t: anchor_penalty(s.anchors, t), theta)
     assert np.max(np.abs(analytic - fd)) < 1e-6
-
-
-def test_ewc_layout_mismatch_is_usage_error():
-    state = cl.EwcState(lam=1.0)
-    state.anchors.append(np.zeros(4))
-    state.fishers.append(np.ones(4))
-    with pytest.raises(UsageError):
-        cl.ewc_penalty(np.zeros(5), state)
 
 
 def test_fisher_hand_logistic_case():
@@ -295,15 +312,16 @@ def test_online_merge_cases():
     )
 
 
-def test_online_penalty_zero_at_anchor_gradient_matches_fd():
+def test_online_penalty_zero_at_anchor_gradient_matches_fd(fishers):
     rng = np.random.default_rng(4)
-    state = cl.OnlineEwcState(lam=2.2, decay=0.8)
-    state.anchor = rng.normal(size=5)
-    state.running_fisher = rng.random(5)
-    assert cl.online_ewc_penalty(state.anchor, state) == 0.0
+    s = cl.OnlineEwc(ewc_lambda=2.2, decay_factor=0.8)
+    anchor = rng.normal(size=5)
+    fishers.append(rng.random(5))
+    s.after_task(at_params(anchor), 0, None, None, None)
+    assert anchor_penalty([s.anchor], anchor) == 0.0
     theta = rng.normal(size=5)
-    analytic = cl.online_ewc_penalty_gradient(theta, state)
-    fd = fd_gradient(lambda t: cl.online_ewc_penalty(t, state), theta)
+    analytic = s.penalty_gradient(theta)
+    fd = fd_gradient(lambda t: anchor_penalty([s.anchor], t), theta)
     assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
@@ -312,59 +330,131 @@ def test_online_penalty_zero_at_anchor_gradient_matches_fd():
 
 
 def test_si_observe_hand_values():
-    state = cl.SiState(strength=1.0)
-    state.omega = np.zeros(1)
-    cl.si_observe(state, np.array([2.0]), np.array([0.0]))
-    assert state.omega[0] == 0.0
-    cl.si_observe(state, np.array([2.0]), np.array([-0.1]))
-    assert state.omega[0] == pytest.approx(0.2, abs=1e-15)
+    omega = np.zeros(1)
+    cl.si_observe(omega, np.array([2.0]), np.array([0.0]))
+    assert omega[0] == 0.0
+    cl.si_observe(omega, np.array([2.0]), np.array([-0.1]))
+    assert omega[0] == pytest.approx(0.2, abs=1e-15)
 
 
 def test_si_observe_descent_contribution_is_nonnegative():
-    state = cl.SiState(strength=1.0)
-    state.omega = np.zeros(8)
+    omega = np.zeros(8)
     rng = np.random.default_rng(0)
     g = rng.normal(size=8)
-    cl.si_observe(state, g, -0.05 * g)
-    assert np.all(state.omega >= 0.0)
+    cl.si_observe(omega, g, -0.05 * g)
+    assert np.all(omega >= 0.0)
 
 
 def test_si_consolidate_hand_value_and_reset():
-    state = cl.SiState(strength=1.0, damping=1e-3)
-    state.task_start = np.array([0.1])
-    state.omega = np.array([0.2])
-    cl.si_consolidate(state, np.array([0.0]))
-    assert state.consolidated[0] == pytest.approx(0.2 / 0.011, rel=1e-12)
-    assert state.omega[0] == 0.0
-    assert state.anchor[0] == 0.0
-    # fold in a zero omega: consolidated importance unchanged
-    state.task_start = state.anchor.copy()
-    before = state.consolidated.copy()
-    cl.si_consolidate(state, np.array([0.0]))
-    assert np.array_equal(state.consolidated, before)
+    s = cl.Si(si_lambda=1.0, damping=1e-3)
+    s.before_task(at_params([0.1]), 0, None, None, None)
+    s.per_step_observe(np.array([2.0]), np.array([-0.1]))
+    s.after_task(at_params([0.0]), 0, None, None, None)
+    assert s.importance[0] == pytest.approx(0.2 / 0.011, rel=1e-12)
+    assert s.anchor.centre[0] == 0.0
+    assert s.anchor.kappa[0] == 2.0 * s.importance[0]
+    # the next task starts a fresh path integral; a zero one leaves the
+    # consolidated importance unchanged
+    before = s.importance.copy()
+    s.before_task(at_params([0.0]), 1, None, None, None)
+    assert s.omega[0] == 0.0
+    s.after_task(at_params([0.0]), 1, None, None, None)
+    assert np.array_equal(s.importance, before)
 
 
 def test_si_consolidate_survives_zero_drift():
-    state = cl.SiState(strength=1.0, damping=1e-3)
-    state.task_start = np.zeros(3)
-    state.omega = np.ones(3)
-    cl.si_consolidate(state, np.zeros(3))
-    assert np.all(np.isfinite(state.consolidated))
+    assert np.all(np.isfinite(cl.si_consolidate(np.ones(3), np.zeros(3), 1e-3)))
 
 
 def test_si_penalty_no_half_and_gradient_matches_fd():
     rng = np.random.default_rng(5)
-    state = cl.SiState(strength=0.7)
-    state.anchor = rng.normal(size=4)
-    state.consolidated = rng.random(4)
+    s = cl.Si(si_lambda=0.7)
+    anchor = rng.normal(size=4)
+    s.before_task(at_params(anchor), 0, None, None, None)
+    s.omega += rng.random(4) * s.damping  # zero drift: Omega = omega / xi
+    s.after_task(at_params(anchor), 0, None, None, None)
     theta = rng.normal(size=4)
-    diff = theta - state.anchor
-    expected = 0.7 * float(np.sum(state.consolidated * diff * diff))
-    assert cl.si_penalty(theta, state) == pytest.approx(expected, rel=1e-14)
-    assert cl.si_penalty(state.anchor, state) == 0.0
-    analytic = cl.si_penalty_gradient(theta, state)
-    fd = fd_gradient(lambda t: cl.si_penalty(t, state), theta)
+    diff = theta - anchor
+    expected = 0.7 * float(np.sum(s.importance * diff * diff))
+    assert anchor_penalty([s.anchor], theta) == pytest.approx(expected, rel=1e-14)
+    assert anchor_penalty([s.anchor], anchor) == 0.0
+    analytic = s.penalty_gradient(theta)
+    fd = fd_gradient(lambda t: anchor_penalty([s.anchor], t), theta)
     assert np.max(np.abs(analytic - fd)) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# anchors against the per-strategy formulas they replaced
+
+
+def legacy_ewc_gradient(theta, lam, centres, fishers):
+    grad = np.zeros_like(theta)
+    for centre, fisher in zip(centres, fishers):
+        grad += lam * fisher * (theta - centre)
+    return grad
+
+
+def legacy_online_ewc_gradient(theta, lam, running_fisher, centre):
+    return lam * running_fisher * (theta - centre)
+
+
+def legacy_si_gradient(theta, strength, omega, centre):
+    return 2.0 * strength * omega * (theta - centre)
+
+
+def bits(array):
+    return np.asarray(array, dtype=np.float64).view(np.uint64)
+
+
+def negative_zeros(array):
+    return int(np.sum((array == 0.0) & np.signbit(array)))
+
+
+@pytest.mark.parametrize("n_tasks", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["ewc", "online_ewc", "si"])
+def test_anchor_gradients_equal_the_legacy_formulas_bit_for_bit(kind, n_tasks):
+    rng = np.random.default_rng(90 + n_tasks)
+    s = cl.build_strategy(kind, {"si_lambda": 0.7} if kind == "si" else {"ewc_lambda": 0.7})
+    model = small_model(seed=n_tasks)
+    model.params.get("L0.dense.b")[0] = -100.0  # a dead ReLU unit: Fisher exactly 0
+    size = model.params.values.size
+    centres, fishers, running, omega = [], [], None, None
+    for task in range(n_tasks):
+        f, y = toy_task(9, seed=20 + task)
+        s.before_task(model, task, f, y, None)
+        start = model.params.values.copy()
+        task_omega = np.zeros(size)
+        for _ in range(4):
+            # a step that is not the descent direction leaves some omega < 0
+            g, delta = rng.normal(size=size), 0.01 * rng.normal(size=size)
+            model.params.values += delta
+            s.per_step_observe(g, delta)
+            task_omega += (-g) * delta
+        fisher = cl.compute_fisher(model, f, y, 64)
+        s.after_task(model, task, f, y, None)
+        centres.append(model.params.values.copy())
+        fishers.append(fisher)
+        running = fisher.copy() if running is None else 0.9 * running + fisher
+        drift = model.params.values - start
+        omega = np.zeros(size) if omega is None else omega
+        omega += task_omega / (drift * drift + cl.SI_DAMPING)
+    assert np.any(fishers[-1] == 0.0) and np.any(omega < 0.0)
+
+    # theta equals the last centre on a third of the coordinates and sits
+    # below it elsewhere, so kappa * (theta - centre) holds signed zeros
+    step = -0.05 * rng.random(size)
+    step[::3] = 0.0
+    theta = centres[-1] + step
+    if kind == "ewc":
+        want = legacy_ewc_gradient(theta, 0.7, centres, fishers)
+        assert negative_zeros(0.7 * fishers[-1] * (theta - centres[-1])) > 0
+    elif kind == "online_ewc":
+        want = legacy_online_ewc_gradient(theta, 0.7, running, centres[-1])
+        assert negative_zeros(want) > 0
+    else:
+        want = legacy_si_gradient(theta, 0.7, omega, centres[-1])
+        assert negative_zeros(want) > 0
+    assert np.array_equal(bits(s.penalty_gradient(theta)), bits(want))
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +742,6 @@ def test_naive_hooks_are_inert():
     s = cl.Naive()
     theta = np.ones(4)
     g = np.ones(4)
-    assert s.loss_penalty(theta) == 0.0
     assert s.penalty_gradient(theta) is None
     assert s.transform_gradient(g, None, (1.0, 1.0), None) is g
     f, y = toy_task(5, seed=0)
@@ -826,8 +915,11 @@ def test_si_strategy_full_task_cycle():
     s.per_step_observe(g, -0.01 * g)
     model.params.values -= 0.01
     s.after_task(model, 0, f, y, None)
-    assert s.loss_penalty(model.params.values) == 0.0  # at the new anchor
-    assert s.loss_penalty(model.params.values + 0.1) > 0.0
+    theta = model.params.values
+    assert np.array_equal(s.anchor.centre, theta)
+    assert anchor_penalty([s.anchor], theta) == 0.0  # at the new anchor
+    assert anchor_penalty([s.anchor], theta + 0.1) > 0.0
+    assert np.array_equal(s.penalty_gradient(theta), np.zeros_like(theta))
 
 
 # ---------------------------------------------------------------------------
@@ -900,7 +992,7 @@ def test_rules_normalise_like_the_old_casts():
     assert type(lwf.alpha) is float and lwf.alpha == 0.0
     assert type(lwf.temperature) is float
     si = cl.build_strategy("si", {"si_lambda": 2})
-    assert type(si.state.strength) is float and si.state.damping == cl.SI_DAMPING
+    assert type(si.strength) is float and si.damping == cl.SI_DAMPING
     gdumb = cl.build_strategy("gdumb", {"mem_size": 0, "gdumb_scratch_retrain": False})
     assert gdumb.mem_size == 0 and gdumb.scratch_retrain is False
 
