@@ -137,10 +137,7 @@ class ParameterVector:
         example axis first, summed over N and T.
         """
         g = self.get(name)
-        if x.ndim == 2:
-            g += x.T @ dy
-        else:
-            g += (_rows(x).T @ _rows(dy)).reshape(g.shape)
+        g += (_rows(x).T @ _rows(dy)).reshape(g.shape)
 
     def add_sum(self, name: str, dy: Array) -> None:
         """Gradient sink: add ``dy`` summed over every example (and step)."""

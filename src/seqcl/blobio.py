@@ -10,16 +10,31 @@ truncation is detectable byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError
+from .errors import ConfigurationError, DataFormatError
+from .rules import MAPPING, SIZE, TEXT, Rule, one_of, read
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
 MANIFEST_NAME = "manifest.json"
 BLOB_NAME = "data.bin"
+
+# manifest key -> rule, and the same for each entry of its array catalog;
+# every key is required, and a violation is a DataFormatError
+MANIFEST_RULES = {
+    "format": one_of(("seqcl-bundle-v1",)), "total_bytes": SIZE,
+    "arrays": Rule("a list", lambda v: isinstance(v, list)), "header": MAPPING,
+}
+ENTRY_RULES = {
+    "name": TEXT, "offset": SIZE,
+    "shape": Rule("a list of ints >= 0", lambda v: isinstance(v, list) and all(
+        SIZE.accepts(d) for d in v)),
+    "dtype": one_of(tuple(_DTYPES)), "byte_length": SIZE,
+}
 
 
 def _canonical_dtype(arr: np.ndarray) -> str:
@@ -62,42 +77,37 @@ def write_bundle(path, header: dict, arrays: dict) -> None:
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=1, sort_keys=True))
 
 
-def read_bundle(path):
-    """Load (header, arrays) from ``path``; malformed input raises
-    DataFormatError naming expected vs actual byte counts."""
+def read_bundle(path, header_rules):
+    """Load (header, arrays) from ``path``, every header key required and checked
+    by ``header_rules``; malformed input raises DataFormatError."""
     path = Path(path)
     mpath = path / MANIFEST_NAME
     bpath = path / BLOB_NAME
     if not mpath.exists():
         raise DataFormatError(f"no {MANIFEST_NAME} under {path}")
     try:
-        manifest = json.loads(mpath.read_text())
+        manifest = read(MANIFEST_RULES, json.loads(mpath.read_text()), "manifest", MANIFEST_RULES)
+        header = read(header_rules, manifest["header"], "header", header_rules)
+        entries = [read(ENTRY_RULES, entry, f"manifest.arrays[{i}]", ENTRY_RULES)
+                   for i, entry in enumerate(manifest["arrays"])]
     except json.JSONDecodeError as exc:
         raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
-    if manifest.get("format") != "seqcl-bundle-v1":
-        raise DataFormatError(f"unrecognised bundle format {manifest.get('format')!r}")
+    except ConfigurationError as exc:
+        raise DataFormatError(str(exc)) from exc
     if not bpath.exists():
         raise DataFormatError(f"no {BLOB_NAME} under {path}")
     blob = bpath.read_bytes()
-    expected_total = int(manifest.get("total_bytes", -1))
-    if len(blob) != expected_total:
+    if len(blob) != manifest["total_bytes"]:
         raise DataFormatError(
-            f"blob truncated or padded: manifest expects {expected_total} bytes, "
+            f"blob truncated or padded: manifest expects {manifest['total_bytes']} bytes, "
             f"file has {len(blob)}"
         )
     arrays = {}
-    for entry in manifest["arrays"]:
-        name = entry["name"]
-        off = int(entry["offset"])
-        shape = tuple(int(d) for d in entry["shape"])
-        code = entry["dtype"]
-        if code not in _DTYPES:
-            raise DataFormatError(f"array {name!r} has unsupported dtype {code!r}")
-        dt = _DTYPES[code]
-        nbytes = int(entry["byte_length"])
-        want = int(np.prod(shape)) * dt.itemsize if shape else dt.itemsize
-        if shape == ():
-            want = dt.itemsize
+    for entry in entries:
+        name, off, nbytes = entry["name"], entry["offset"], entry["byte_length"]
+        shape = tuple(entry["shape"])
+        dt = _DTYPES[entry["dtype"]]
+        want = math.prod(shape) * dt.itemsize
         if nbytes != want:
             raise DataFormatError(
                 f"array {name!r}: shape {shape} requires {want} bytes, "
@@ -109,4 +119,4 @@ def read_bundle(path):
                 f"{len(blob)} bytes"
             )
         arrays[name] = np.frombuffer(blob[off : off + nbytes], dtype=dt).reshape(shape).copy()
-    return manifest["header"], arrays
+    return header, arrays

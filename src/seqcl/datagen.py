@@ -32,14 +32,17 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .blobio import read_bundle, write_bundle
 from .errors import ConfigurationError, DataError, DataFormatError
-from .rules import COUNT, NON_NEGATIVE, OPEN_UNIT, SIZE, check, one_of
+from .rules import (
+    COUNT, NON_NEGATIVE, OPEN_UNIT, SIZE, TEXT, VECTOR, VECTOR_OR_NULL, Rule, one_of, read,
+    required_fields,
+)
 
 log = logging.getLogger(__name__)
 
@@ -63,10 +66,6 @@ class DomainSpec:
 
     def __post_init__(self):
         self.mean_offset = np.asarray(self.mean_offset, dtype=np.float64)
-        if not 0.0 < self.prevalence < 1.0:
-            raise ConfigurationError(
-                f"domain {self.name!r}: prevalence must be in (0, 1), got {self.prevalence}"
-            )
         if self.label_direction is not None:
             direction = np.asarray(self.label_direction, dtype=np.float64)
             norm = np.linalg.norm(direction)
@@ -77,11 +76,25 @@ class DomainSpec:
             self.label_direction = direction / norm
 
 
-# ShiftProfile scalar field -> rule
+# DomainSpec field -> rule; vector lengths and a zero direction are cross-field
+DOMAIN_RULES = {
+    "name": TEXT, "mean_offset": VECTOR, "prevalence": OPEN_UNIT,
+    "label_direction": VECTOR_OR_NULL,
+}
+
+# ShiftProfile field -> rule; each domain entry goes through DOMAIN_RULES
 PROFILE_RULES = {
-    "n_patients": COUNT, "n_timevarying": COUNT, "n_static": SIZE, "seq_len": COUNT,
+    "n_patients": COUNT,
+    "domains": Rule("a mapping from domain key to a nonempty list of domain entries",
+                    lambda v: isinstance(v, dict) and len(v) > 0 and all(
+                        isinstance(specs, (list, tuple)) and specs for specs in v.values())),
+    "n_timevarying": COUNT, "n_static": SIZE, "seq_len": COUNT,
     "noise_scale": NON_NEGATIVE, "base_prevalence": OPEN_UNIT,
     "label_amplitude": NON_NEGATIVE, "label_signal": one_of(("ramp", "level")),
+    "admission_probs": Rule(
+        "a nonempty list of finite numbers >= 0 with a finite positive sum",
+        lambda v: VECTOR.accepts(v) and min(v, default=-1) >= 0 and 0 < sum(v) < np.inf,
+        tuple),
 }
 
 
@@ -90,7 +103,7 @@ class ShiftProfile:
     """Everything generate_cohort needs to synthesise one cohort."""
 
     n_patients: int
-    domains: dict = field(default_factory=dict)  # key -> list[DomainSpec]
+    domains: dict  # key -> list[DomainSpec]
     n_timevarying: int = 8
     n_static: int = 2
     seq_len: int = 48
@@ -105,17 +118,11 @@ class ShiftProfile:
     admission_probs: tuple = (0.7, 0.2, 0.1)  # P(1), P(2), ... admissions
 
     def validate(self) -> "ShiftProfile":
-        check(PROFILE_RULES, vars(self))
-        if not self.domains:
-            raise ConfigurationError("profile needs at least one domain key")
+        read(PROFILE_RULES, vars(self), "profile")
         dim = self.n_timevarying + self.n_static
         for key, specs in self.domains.items():
-            if len(specs) < 1:
-                raise ConfigurationError(f"domain key {key!r} has no values")
-            names = [s.name for s in specs]
-            if len(set(names)) != len(names):
-                raise ConfigurationError(f"domain key {key!r} has duplicate value names")
-            for s in specs:
+            for i, s in enumerate(specs):
+                read(DOMAIN_RULES, vars(s), f"profile.domains.{key}[{i}]")
                 if s.mean_offset.shape != (dim,):
                     raise ConfigurationError(
                         f"domain {key}:{s.name} offset must have length {dim}, "
@@ -127,41 +134,20 @@ class ShiftProfile:
                         f"domain {key}:{s.name} label_direction must have length "
                         f"{self.n_timevarying}, got {s.label_direction.shape}"
                     )
-        probs = np.asarray(self.admission_probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size < 1 or np.any(probs < 0) or probs.sum() <= 0:
-            raise ConfigurationError("admission_probs must be non-negative and sum > 0")
+            if len({s.name for s in specs}) != len(specs):
+                raise ConfigurationError(f"domain key {key!r} has duplicate value names")
         return self
 
     @classmethod
     def from_json_dict(cls, payload: dict) -> "ShiftProfile":
-        known = {
-            "n_patients", "n_timevarying", "n_static", "seq_len", "noise_scale",
-            "base_prevalence", "label_amplitude", "label_signal",
-            "admission_probs", "domains",
+        values = read(PROFILE_RULES, payload, "profile", required_fields(cls))
+        values["domains"] = {
+            key: [DomainSpec(**read(DOMAIN_RULES, entry, f"profile.domains.{key}[{i}]",
+                                    required_fields(DomainSpec)))
+                  for i, entry in enumerate(entries)]
+            for key, entries in values["domains"].items()
         }
-        unknown = set(payload) - known
-        if unknown:
-            raise ConfigurationError(f"unknown profile keys: {sorted(unknown)}")
-        domains = {
-            key: [
-                DomainSpec(
-                    name=s["name"],
-                    mean_offset=np.asarray(s["mean_offset"], dtype=np.float64),
-                    prevalence=float(s["prevalence"]),
-                    label_direction=(
-                        np.asarray(s["label_direction"], dtype=np.float64)
-                        if s.get("label_direction") is not None
-                        else None
-                    ),
-                )
-                for s in specs
-            ]
-            for key, specs in payload.get("domains", {}).items()
-        }
-        kwargs = {k: v for k, v in payload.items() if k != "domains"}
-        if "admission_probs" in kwargs:
-            kwargs["admission_probs"] = tuple(kwargs["admission_probs"])
-        return cls(domains=domains, **kwargs).validate()
+        return cls(**values).validate()
 
 
 @dataclass
@@ -534,16 +520,23 @@ def write_dataset(cohort: CohortDataset, path) -> None:
     write_bundle(path, header, arrays)
 
 
+# cohort bundle header key -> rule
+HEADER_RULES = {
+    "payload": one_of(("cohort",)), "n_samples": SIZE, "seq_len": SIZE,
+    "n_timevarying": SIZE, "n_static": SIZE,
+    "domain_vocabularies": Rule("a mapping from domain key to a list of values",
+                                lambda v: isinstance(v, dict) and all(
+                                    isinstance(vocab, list) for vocab in v.values())),
+}
+
+
 def load_dataset(path) -> CohortDataset:
-    header, arrays = read_bundle(path)
-    if header.get("payload") != "cohort":
-        raise DataFormatError(f"{path} is not a cohort dataset")
-    vocabs = header["domain_vocabularies"]
+    header, arrays = read_bundle(path, HEADER_RULES)
     for field_name in ("timevarying", "statics", "labels", "patient_ids"):
         if field_name not in arrays:
             raise DataFormatError(f"dataset missing array {field_name!r}")
     domains = {}
-    for key, vocab in vocabs.items():
+    for key, vocab in header["domain_vocabularies"].items():
         codes = arrays.get(f"domain:{key}")
         if codes is None:
             raise DataFormatError(f"dataset missing domain array for key {key!r}")

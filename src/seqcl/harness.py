@@ -11,7 +11,7 @@ import itertools
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +33,9 @@ from .errors import (
 )
 from .metrics import AccuracyMatrix, bootstrap_ci, forgetting
 from .models import ARCHITECTURE_RULES, ArchitectureSpec, build_model
-from .rules import COUNT, SIZE, SIZE_OR_NULL, Rule, check
+from .rules import (
+    COUNT, MAPPING, NONEMPTY_LIST, SIZE, SIZE_OR_NULL, TEXT, Rule, read, required_fields,
+)
 from .strategies import SI_DAMPING, STRATEGIES, build_strategy
 from .training import (
     TRAINER_RULES,
@@ -48,18 +50,22 @@ log = logging.getLogger(__name__)
 # architecture config key -> rule: the spec's rules under the config's names
 _ARCH_RULES = {"n_layers" if name == "n_feature_layers" else name: rule
                for name, rule in ARCHITECTURE_RULES.items()}
-_DATA_KEYS = {"profile", "path", "seed"}
 
-# experiment-level key -> rule; the trainer keys go through TRAINER_RULES
+# data key -> rule; exactly one of profile and path is a cross-field check
+DATA_RULES = {"profile": Rule("a builtin profile name, a profile JSON path or a profile mapping",
+                              lambda v: isinstance(v, (str, dict))),
+              "path": TEXT, "seed": SIZE}
+
+# config key -> rule; the nested mappings have their own tables
 EXPERIMENT_RULES = {
-    "n_runs": COUNT,
-    "master_seed": SIZE,
-    "data.seed": SIZE,
+    "data": MAPPING, "domain_key": TEXT, "architecture": MAPPING, "strategy": TEXT,
+    "output_dir": TEXT, "grid": MAPPING,
     "curriculum": Rule(
         "an int >= 0 (an order seed) or a list of domain names",
         lambda v: SIZE.accepts(v) or (
             isinstance(v, (list, tuple)) and all(isinstance(name, str) for name in v)),
     ),
+    **TRAINER_RULES, "n_runs": COUNT, "buffer_budget": SIZE_OR_NULL, "master_seed": SIZE,
 }
 
 # generic (strategy-independent) hyperparameters a grid or --hyperparams may carry
@@ -89,26 +95,18 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def validate(self):
-        unknown = set(self.data) - _DATA_KEYS
-        if unknown:
-            raise ConfigurationError(f"unknown data keys {sorted(unknown)}")
+        read(EXPERIMENT_RULES, vars(self), "config")
+        read(DATA_RULES, self.data, "data")
         if ("profile" in self.data) == ("path" in self.data):
             raise ConfigurationError("data needs exactly one of 'profile' or 'path'")
-        check(EXPERIMENT_RULES, {**vars(self), "data.seed": self.data.get("seed", 0)})
-        check(TRAINER_RULES, vars(self))
-        unknown = set(self.architecture) - set(_ARCH_RULES)
-        if unknown:
-            raise ConfigurationError(f"unknown architecture keys {sorted(unknown)}")
-        if "kind" not in self.architecture:
-            raise ConfigurationError("architecture needs a 'kind'")
-        check(_ARCH_RULES, self.architecture)
+        read(_ARCH_RULES, self.architecture, "architecture", required_fields(ArchitectureSpec))
         self.architecture_spec()  # the cross-field checks
         strategy = build_strategy(self.strategy)  # name check
+        vocabulary = {**GENERIC_RULES, **strategy.hyperparams}
+        read(dict.fromkeys(vocabulary, NONEMPTY_LIST), self.grid, "grid")
         for key, values in self.grid.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ConfigurationError(f"grid key {key!r} needs a nonempty list")
             for value in values:
-                _check_hyperparams(self, {key: value})
+                _check_hyperparams(self, {key: value}, "grid")
         # the budget key's own rule, where there is one: gdumb's rejects null
         budget_rule = strategy.hyperparams.get(strategy.budget_key, SIZE_OR_NULL)
         budget_rule(f"buffer_budget for {self.strategy}", self.buffer_budget)
@@ -131,19 +129,8 @@ class ExperimentConfig:
         )
 
 
-_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
-_REQUIRED_FIELDS = {"data", "domain_key", "architecture", "strategy", "output_dir"}
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config must be a mapping")
-    unknown = set(raw) - _CONFIG_FIELDS
-    if unknown:
-        raise ConfigurationError(f"unknown config keys {sorted(unknown)}")
-    missing = _REQUIRED_FIELDS - set(raw)
-    if missing:
-        raise ConfigurationError(f"missing config keys {sorted(missing)}")
+    read(EXPERIMENT_RULES, raw, "config", required_fields(ExperimentConfig))
     config = ExperimentConfig(**raw)
     config.validate()
     return config
@@ -214,16 +201,9 @@ def _strategy_hyperparams(config: ExperimentConfig, chosen: dict) -> dict:
     return hp
 
 
-def _check_hyperparams(config: ExperimentConfig, hyperparams: dict) -> None:
+def _check_hyperparams(config: ExperimentConfig, hyperparams, where="hyperparameters") -> None:
     """Each value by its key's rule, then the architecture it makes as a whole."""
-    rules = {**GENERIC_RULES, **STRATEGIES[config.strategy].hyperparams}
-    unknown = set(hyperparams) - set(rules)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown hyperparameters {sorted(unknown)} for strategy {config.strategy!r}"
-        )
-    for key, value in hyperparams.items():
-        rules[key](key, value)
+    read({**GENERIC_RULES, **STRATEGIES[config.strategy].hyperparams}, hyperparams, where)
     config.architecture_spec(hyperparams)
 
 
@@ -348,7 +328,7 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
     that ``report`` reads.
     """
     config.validate()
-    hyperparams = dict(hyperparams or {})
+    hyperparams = {} if hyperparams is None else hyperparams
     _check_hyperparams(config, hyperparams)
     if partitions is None:
         partitions = load_partitions(config)
@@ -432,8 +412,8 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
 
         with path.open("w") as fh:
             fh.write(json.dumps({"fingerprint": fingerprint, "run": run_idx}) + "\n")
-            for record in out.records:
-                fh.write(json.dumps(_jsonable(record), sort_keys=True) + "\n")
+            for record in out.records:  # str, int, float and None only
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
         run_outputs.append(out)
         run_meta.append({
             "run": run_idx,
@@ -532,7 +512,7 @@ def final_mean_forgetting(records, epochs_per_task):
     return mean
 
 
-def summarize_experiment(name, metadata, runs, bootstrap_seed=0) -> dict:
+def summarize_experiment(name, metadata, runs) -> dict:
     """Per-experiment summary row from ``_read_experiment``'s metadata and
     runs: final balanced accuracy and forgetting, means with bootstrap
     confidence intervals across runs."""
@@ -556,12 +536,12 @@ def summarize_experiment(name, metadata, runs, bootstrap_seed=0) -> dict:
         "ci_suppressed": len(finals) < 2,
     }
     if len(finals) >= 2:
-        lo, hi = bootstrap_ci(finals, seed=bootstrap_seed)
+        lo, hi = bootstrap_ci(finals)
         row["final_balanced_accuracy_ci"] = [lo, hi]
     else:
         row["final_balanced_accuracy_ci"] = None
     if len(forgets) >= 2:
-        lo, hi = bootstrap_ci(forgets, seed=bootstrap_seed)
+        lo, hi = bootstrap_ci(forgets)
         row["final_forgetting_ci"] = [lo, hi]
     else:
         row["final_forgetting_ci"] = None
@@ -674,7 +654,7 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
         for position, value in enumerate(values)
     ]
     for group_config in group_configs:
-        _check_hyperparams(group_config, dict(hyperparams or {}))
+        _check_hyperparams(group_config, {} if hyperparams is None else hyperparams)
     base_dir.mkdir(parents=True, exist_ok=True)
     groups = []
     for value, group_config in zip(values, group_configs):

@@ -33,13 +33,13 @@ def _validate_scores_labels(scores, labels):
     return scores, labels.astype(np.int64)
 
 
-def _classify(scores, labels, threshold=0.5, areas=True):
+def _classify(scores, labels, threshold=0.5):
     """The classification kernel behind every metric in this module.
 
     Takes validated scores and labels and returns ((tp, fp, tn, fn), auroc,
-    auprc); an area is None where undefined or when ``areas`` is false. Both
-    areas come from one stable ascending argsort, read per tie group (a run
-    of equal scores; every NaN is a group of its own, sorted last).
+    auprc); an area is None where undefined. Both areas come from one stable
+    ascending argsort, read per tie group (a run of equal scores; every NaN
+    is a group of its own, sorted last).
 
     AUROC is the Mann-Whitney rank sum with average ranks per tie group. The
     ranks are half-integers, so the sum is exact in any order.
@@ -58,7 +58,7 @@ def _classify(scores, labels, threshold=0.5, areas=True):
     tp = int(np.count_nonzero(predicted & positive))
     n_predicted = int(np.count_nonzero(predicted))
     counts = (tp, n_predicted - tp, n_neg - n_predicted + tp, n_pos - tp)
-    if not areas or n_pos == 0:
+    if n_pos == 0:
         return counts, None, None
 
     order = np.argsort(scores, kind="stable")

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigurationError, DataError
-from .rules import COUNT, FLAG, check, int_range, one_of
+from .rules import COUNT, FLAG, int_range, one_of, read
 
 MODEL_KINDS = ("mlp", "cnn1d", "lstm")
 
@@ -43,7 +43,7 @@ class ArchitectureSpec:
     kernel_size: int = 3
 
     def validate(self) -> "ArchitectureSpec":
-        check(ARCHITECTURE_RULES, vars(self))
+        read(ARCHITECTURE_RULES, vars(self), "architecture")
         if self.bidirectional and self.kind != "lstm":
             raise ConfigurationError("bidirectional is only meaningful for lstm models")
         return self

@@ -1,17 +1,19 @@
-"""Value rules for configuration keys.
+"""Value rules for configuration keys, and the one reader of mappings.
 
 A ``Rule`` checks one value of one key: ``rule(key, value)`` raises
 ConfigurationError naming the key, or returns the value normalised for a
 constructor. Each owner declares one table, key -> rule: the architecture in
 ``models``, the trainer in ``training``, each strategy in its ``hyperparams``,
-the experiment-level keys in ``harness`` and a cohort profile's scalars in
-``datagen``. Every config check, grid and ``--hyperparams`` values included,
-is a lookup in those tables.
+the config and its ``data`` in ``harness``, a cohort profile and its domain
+entries in ``datagen``, a dataset manifest in ``blobio``. ``read`` checks a
+mapping against its table (type, unknown keys, missing keys, then each
+value); every mapping read from outside, and every ``validate``, goes
+through it.
 """
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Callable
 
 from .errors import ConfigurationError
@@ -62,10 +64,31 @@ SIZE = Rule("an int >= 0", lambda v: _is_int(v) and v >= 0, int)
 SIZE_OR_NULL = Rule("an int >= 0 or null", lambda v: v is None or SIZE.accepts(v),
                     lambda v: None if v is None else int(v))
 FLAG = Rule("true or false", lambda v: isinstance(v, bool), bool)
+TEXT = Rule("a string", lambda v: isinstance(v, str))
+MAPPING = Rule("a mapping", lambda v: isinstance(v, dict))
+NONEMPTY_LIST = Rule("a nonempty list", lambda v: isinstance(v, (list, tuple)) and len(v) > 0)
+VECTOR = Rule("a list of finite numbers", lambda v: (
+    isinstance(v, (list, tuple)) or getattr(v, "ndim", None) == 1) and all(map(_is_number, v)))
+VECTOR_OR_NULL = Rule("a list of finite numbers or null",
+                      lambda v: v is None or VECTOR.accepts(v))
 
 
-def check(rules, values) -> None:
-    """Check every key of ``values`` that ``rules`` names, in table order."""
-    for key, rule in rules.items():
-        if key in values:
-            rule(key, values[key])
+def required_fields(cls) -> tuple:
+    """The fields of dataclass ``cls`` that have no default."""
+    return tuple(f.name for f in fields(cls)
+                 if f.default is MISSING and f.default_factory is MISSING)
+
+
+def read(rules, raw, where, required=()) -> dict:
+    """{key: normalised value} of ``raw``, a dict with no key outside ``rules``
+    and every key of ``required``, whose values pass their rules (which name
+    them ``where.key``); anything else raises ConfigurationError."""
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where} must be a mapping, got {raw!r}")
+    unknown = [key for key in raw if key not in rules]
+    if unknown:
+        raise ConfigurationError(f"{where}: unknown keys {unknown}")
+    missing = [key for key in required if key not in raw]
+    if missing:
+        raise ConfigurationError(f"{where}: missing keys {missing}")
+    return {key: rule(f"{where}.{key}", raw[key]) for key, rule in rules.items() if key in raw}

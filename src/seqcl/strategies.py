@@ -30,7 +30,7 @@ import numpy as np
 
 from .autodiff import _check_labels, log_softmax, softmax, weighted_ce_with_grad
 from .errors import ConfigurationError, QpNonConvergenceError, UsageError
-from .rules import COUNT, FLAG, NON_NEGATIVE, POSITIVE, SIZE, SIZE_OR_NULL, UNIT_INTERVAL
+from .rules import COUNT, FLAG, NON_NEGATIVE, POSITIVE, SIZE, SIZE_OR_NULL, UNIT_INTERVAL, read
 
 log = logging.getLogger(__name__)
 
@@ -413,9 +413,11 @@ class Ewc(Strategy):
         self.anchors = []  # one per finished task, oldest first
 
     def penalty_gradient(self, theta):
-        return None if self.lam == 0.0 else _summed_gradient(self.anchors, theta)
+        return _summed_gradient(self.anchors, theta)
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
+        if self.lam == 0.0:  # no anchor is ever read, so no Fisher is needed
+            return
         fisher = compute_fisher(model, features, labels, self.fisher_batch_size)
         self.anchors.append(Anchor(self.lam * fisher, model.params.values.copy()))
 
@@ -435,9 +437,11 @@ class OnlineEwc(Strategy):
         self.anchor = None
 
     def penalty_gradient(self, theta):
-        return None if self.lam == 0.0 or self.anchor is None else self.anchor.gradient(theta)
+        return None if self.anchor is None else self.anchor.gradient(theta)
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
+        if self.lam == 0.0:  # no anchor is ever read, so no Fisher is needed
+            return
         fresh = compute_fisher(model, features, labels, self.fisher_batch_size)
         self.running_fisher = online_ewc_merge(self.running_fisher, fresh, self.decay)
         self.anchor = Anchor(self.lam * self.running_fisher, model.params.values.copy())
@@ -584,14 +588,9 @@ def build_strategy(name: str, hyperparams=None) -> Strategy:
         raise ConfigurationError(
             f"unknown strategy {name!r}; expected one of {', '.join(STRATEGIES)}"
         )
-    cls = STRATEGIES[name]
-    hp = hyperparams or {}
-    unknown = set(hp) - set(cls.hyperparams)
-    if unknown:
-        raise ConfigurationError(f"strategy {name!r} does not accept {sorted(unknown)}")
-    hp = {key: cls.hyperparams[key](key, value) for key, value in hp.items()}
+    hp = read(STRATEGIES[name].hyperparams, hyperparams or {}, name)
     if "lambda_e" in hp:
         lam_e = hp.pop("lambda_e")
         if hp.setdefault("alpha", lam_e) != lam_e:
             raise ConfigurationError("alpha and lambda_e disagree; set only one")
-    return cls(**hp)
+    return STRATEGIES[name](**hp)

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import ConfigurationError, DataError
 from .metrics import METRIC_NAMES, summarize_classification
 from .models import predict
-from .rules import COUNT, HALF_OPEN_UNIT, NON_NEGATIVE, check
+from .rules import COUNT, HALF_OPEN_UNIT, NON_NEGATIVE, read
 from .strategies import Strategy
 
 # fixed per-site tags folded into the seed tuple
@@ -125,7 +125,7 @@ class TrainerSettings:
     momentum: float = 0.0
 
     def validate(self):
-        check(TRAINER_RULES, vars(self))
+        read(TRAINER_RULES, vars(self), "trainer")
 
 
 @dataclass

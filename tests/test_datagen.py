@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from seqcl import datagen as dg
 from seqcl.blobio import BLOB_NAME, MANIFEST_NAME
 from seqcl.errors import ConfigurationError, DataError, DataFormatError
+from seqcl.rules import required_fields
 
 
 def small_profile(n_domains=2, n_patients=60, noise=1.0, shift=2.0, prevalence=0.2,
@@ -385,19 +386,25 @@ def test_profile_scalars_are_checked_by_their_rules(key, value):
 
 def test_readme_profile_table_matches_the_rules():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    start = text.index("| field | meaning | accepted values | default |")
-    defaults = {f.name: f.default for f in dataclasses.fields(dg.ShiftProfile)}
-    documented = set()
-    for line in text[start:].splitlines()[2:]:
-        if not line.startswith("|"):
-            break
-        field, _, accepted, default = (cell.strip() for cell in line.strip("|").split("|"))
-        key = field.strip("`")
-        documented.add(key)
-        assert accepted == dg.PROFILE_RULES[key].what, key
-        if default != "required":
-            assert json.loads(default.strip("`")) == defaults[key], key
-    assert documented == set(dg.PROFILE_RULES)
+    for header, rules, cls in (
+        ("| field | meaning | accepted values | default |", dg.PROFILE_RULES, dg.ShiftProfile),
+        ("| entry key | meaning | accepted values | default |", dg.DOMAIN_RULES, dg.DomainSpec),
+    ):
+        defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+        documented = set()
+        for line in text[text.index(header):].splitlines()[2:]:
+            if not line.startswith("|"):
+                break
+            field, _, accepted, default = (cell.strip() for cell in line.strip("|").split("|"))
+            key = field.strip("`")
+            documented.add(key)
+            assert accepted == rules[key].what, key
+            if default == "required":
+                assert key in required_fields(cls), key
+            else:  # JSON has no tuples: compare in JSON's terms
+                want = json.loads(json.dumps(defaults[key]))
+                assert json.loads(default.strip("`")) == want, key
+        assert documented == set(rules)
 
 
 def test_directory_named_like_a_profile_is_not_read_as_one(tmp_path, monkeypatch):

@@ -198,6 +198,22 @@ def test_ewc_gradient_matches_fd_over_multiple_anchors(fishers):
     assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
+
+@pytest.mark.parametrize("kind", ["ewc", "online_ewc"])
+def test_fisher_is_computed_only_where_an_anchor_is_read(kind, monkeypatch):
+    calls = []
+    real = cl.compute_fisher
+    monkeypatch.setattr(cl, "compute_fisher", lambda *args: calls.append(1) or real(*args))
+    model = small_model(seed=0)
+    for lam, want in ((0.0, 0), (0.7, 3)):
+        calls.clear()
+        s = cl.build_strategy(kind, {"ewc_lambda": lam})
+        for task in range(3):
+            f, y = toy_task(9, seed=20 + task)
+            s.after_task(model, task, f, y, None)
+        assert len(calls) == want, lam
+        assert (s.penalty_gradient(model.params.values) is None) == (lam == 0.0)
+
 def test_fisher_hand_logistic_case():
     # Dense 1 -> 2 at zero weights, one sample x=1 with label 1: the
     # per-logit gradient is (0.5, -0.5), so every Fisher entry is 0.25.
