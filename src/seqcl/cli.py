@@ -15,6 +15,7 @@ from .errors import ConfigurationError, DataError, DataFormatError, SeqclError
 from .harness import (
     SWEEP_AXES,
     config_from_file,
+    read_tune_result,
     report,
     run_experiment,
     sweep,
@@ -66,11 +67,10 @@ def _cmd_tune(args):
 def _cmd_run(args):
     config = config_from_file(args.config)
     hyperparams = _load_hyperparams(args.hyperparams)
-    if not hyperparams:
-        tune_path = Path(config.output_dir) / "tune.json"
-        if tune_path.exists():
-            hyperparams = json.loads(tune_path.read_text())["chosen"]
-            print(f"using tuned hyperparameters from {tune_path}")
+    tune_path = Path(config.output_dir) / "tune.json"
+    if args.hyperparams is None and tune_path.exists():  # an explicit file wins, {} too
+        hyperparams = read_tune_result(tune_path)["chosen"]
+        print(f"using tuned hyperparameters from {tune_path}")
     outputs = run_experiment(config, hyperparams)
     print(f"{len(outputs)} of {config.n_runs} runs completed; "
           f"results in {config.output_dir}")

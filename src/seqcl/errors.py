@@ -6,9 +6,17 @@ misuse (calling backward before forward), metric edge cases, and strategy
 failures (QP non-convergence). The CLI maps these onto exit codes.
 """
 
+import copyreg
+
 
 class SeqclError(Exception):
     """Base class for everything raised deliberately by this package."""
+
+    def __reduce__(self):
+        # rebuilt from args and attributes without calling __init__, whose
+        # signature a subclass may change, so every error survives pickling
+        # (a forked worker's error reaches its caller pickled)
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigurationError(SeqclError):

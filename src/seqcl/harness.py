@@ -6,10 +6,12 @@ The command-line layer in ``cli`` is a thin shell over these functions.
 """
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
 import logging
+import os
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -211,14 +213,95 @@ def _check_hyperparams(config: ExperimentConfig, hyperparams, where="hyperparame
 # tuning
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+_forked_job = None  # (fn, units), set only inside _map_units' workers by their initializer
+
+
+def _adopt_job(fn, units):
+    global _forked_job
+    _forked_job = (fn, units)
+
+
+def _run_forked(index):
+    fn, units = _forked_job
+    return fn(units[index])
+
+
+def _map_units(fn, units) -> list:
+    """``[fn(unit) for unit in units]``, in input order, on
+    ``min(len(units), usable CPUs)`` forked worker processes; in this process
+    when that is one or the platform cannot fork.
+
+    ``fn`` and ``units`` reach the workers by fork, so neither is pickled:
+    only the unit indices go out and the results come back. A unit's
+    exception is re-raised here (the first in input order), and every worker
+    has exited before this returns or raises.
+    """
+    units = list(units)
+    workers = min(len(units), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_adopt_job, initargs=(fn, units),
+            )
+            try:
+                return list(pool.map(_run_forked, range(len(units))))
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+    return [fn(unit) for unit in units]
+
+
+def _score_candidate(config, partitions, class_weights, candidate):
+    """(score, access counts) of one grid candidate trained on the first two
+    tasks, read through a stream of its own; the score is the mean validation
+    balanced accuracy over both tasks after the second, or None."""
+    stream = TaskStream(partitions, merge_val_into_train=False)
+    spec = config.architecture_spec(candidate)
+    t, d = _input_dims(partitions[0])
+    strategy = build_strategy(config.strategy, _strategy_hyperparams(config, candidate))
+    out = run_single(
+        lambda seed: build_model(spec, (t, d), seed),
+        stream,
+        strategy,
+        class_weights,
+        config.trainer_settings(candidate),
+        master_seed=config.master_seed,
+        run_idx=0,
+        eval_splits=("val",),
+        n_train_tasks=2,
+    )
+    score = None
+    for row in reversed(out.records):
+        if (row["trained_task"] == 1 and row["eval_task"] is None
+                and row["split"] == "val"):
+            score = row["metrics"]["balanced_accuracy"]
+            break
+    return score, stream.access_counts
+
+
 def tune(config: ExperimentConfig, partitions=None):
     """Exhaustive grid search scored on the first two tasks' validation data.
 
     Every candidate trains on task 0 then task 1 and is scored by the mean
     validation balanced accuracy over both tasks after the second; the argmax
     (first in enumeration order on ties) is returned together with the audit
-    and per-candidate scores. No partition of any task index >= 2 is read,
-    and the access counter proves it.
+    and per-candidate scores. Candidates are independent seeded units and run
+    through ``_map_units``, so on several CPUs they train in parallel, each
+    in a forked process, with the same result as one after another. No
+    partition of any task index >= 2 is read, and the access counter, summed
+    over every candidate's stream, proves it.
     """
     config.validate()
     if not config.grid:
@@ -238,31 +321,14 @@ def tune(config: ExperimentConfig, partitions=None):
         dict(zip(keys, values))
         for values in itertools.product(*(config.grid[k] for k in keys))
     ]
+    outcomes = _map_units(
+        functools.partial(_score_candidate, config, partitions, class_weights), candidates
+    )
     scored = []
-    for candidate in candidates:
-        spec = config.architecture_spec(candidate)
-        t, d = _input_dims(partitions[0])
-        strategy = build_strategy(
-            config.strategy, _strategy_hyperparams(config, candidate)
-        )
-        out = run_single(
-            lambda seed: build_model(spec, (t, d), seed),
-            stream,
-            strategy,
-            class_weights,
-            config.trainer_settings(candidate),
-            master_seed=config.master_seed,
-            run_idx=0,
-            eval_splits=("val",),
-            n_train_tasks=2,
-        )
-        score = None
-        for row in reversed(out.records):
-            if (row["trained_task"] == 1 and row["eval_task"] is None
-                    and row["split"] == "val"):
-                score = row["metrics"]["balanced_accuracy"]
-                break
+    for candidate, (score, access_counts) in zip(candidates, outcomes):
         scored.append({"hyperparams": candidate, "score": score})
+        for key, count in access_counts.items():
+            stream.access_counts[key] = stream.access_counts.get(key, 0) + count
 
     def sort_key(entry):
         return -1.0 if entry["score"] is None else entry["score"]
@@ -279,12 +345,27 @@ def tune(config: ExperimentConfig, partitions=None):
     }
 
 
+# tune.json key -> rule; ``run`` reads the file back for its hyperparameters
+TUNE_RULES = {"chosen": MAPPING, "candidates": NONEMPTY_LIST,
+              "audit_accesses_beyond_first_two": SIZE, "fingerprint": TEXT}
+
+
 def write_tune_result(config: ExperimentConfig, result: dict) -> Path:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "tune.json"
     path.write_text(json.dumps(_jsonable(result), indent=2, sort_keys=True))
     return path
+
+
+def read_tune_result(path) -> dict:
+    """A ``tune.json`` checked against TUNE_RULES; a malformed file raises
+    ConfigurationError, since it is an input to ``run``."""
+    try:
+        raw = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as err:
+        raise ConfigurationError(f"{path} is not valid JSON: {err}") from err
+    return read(TUNE_RULES, raw, "tune.json", tuple(TUNE_RULES))
 
 
 # ---------------------------------------------------------------------------

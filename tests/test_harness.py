@@ -868,6 +868,47 @@ class TestCli:
         assert "using tuned hyperparameters" in out
         assert "summary tables" in out
 
+    @pytest.mark.parametrize("content", [
+        [1], {}, {"chosen": [1], "candidates": [{}], "audit_accesses_beyond_first_two": 0,
+                  "fingerprint": "f"},
+        {"chosen": {}, "candidates": [{}], "audit_accesses_beyond_first_two": -1,
+         "fingerprint": "f"},
+        "{not json",
+    ], ids=["list", "empty", "chosen-list", "negative-audit", "not-json"])
+    def test_malformed_tune_json_exits_2_before_any_training(
+        self, profile_path, tmp_path, monkeypatch, capsys, content
+    ):
+        monkeypatch.setattr(harness, "run_single", _no_training)
+        out = tmp_path / "out"
+        out.mkdir()
+        text = content if isinstance(content, str) else json.dumps(content)
+        (out / "tune.json").write_text(text)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(profile_path, out)))
+        assert cli_main(["run", str(cfg)]) == 2
+        assert "tune.json" in capsys.readouterr().err
+        assert not (out / "metadata.json").exists()
+
+    @pytest.mark.parametrize("explicit", [True, False], ids=["explicit-empty", "absent"])
+    def test_tune_json_applies_only_without_hyperparams_flag(
+        self, profile_path, tmp_path, capsys, explicit
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(base_config(profile_path, out, n_runs=1, epochs_per_task=1,
+                                              grid={"learning_rate": [0.05, 0.2]})))
+        assert cli_main(["tune", str(cfg)]) == 0
+        tuned = harness.read_tune_result(out / "tune.json")["chosen"]
+        assert tuned
+        argv = ["run", str(cfg)]
+        if explicit:
+            (tmp_path / "hp.json").write_text("{}")
+            argv += ["--hyperparams", str(tmp_path / "hp.json")]
+        assert cli_main(argv) == 0
+        metadata = json.loads((out / "metadata.json").read_text())
+        assert metadata["chosen_hyperparams"] == ({} if explicit else tuned)
+        assert ("using tuned hyperparameters" in capsys.readouterr().out) is not explicit
+
     def test_generate_data_writes_loadable_cohort(self, tmp_path, capsys):
         out = tmp_path / "cohort.npz"
         assert cli_main(["generate-data", "sites3", str(out), "--seed", "2"]) == 0
