@@ -452,11 +452,22 @@ class Conv1D(Layer):
 
 
 def _sigmoid(x):
-    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, without masks:
-    with e = e^-|x| both branches are a numerator over 1 + e, so the bits
-    equal the two-branch form on every finite input."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, with no select:
+    with e = e^-|x| both branches are a numerator over 1 + e, and that
+    numerator is exp(min(x, 0)). Below 0, min(x, 0) is -|x| exactly, so it
+    is e itself; at or above 0 (and at -0.0) it is exp(±0) = 1. Since
+    e + 1 == 1 + e, the bits equal the two-branch form on every input,
+    ±inf and subnormals included. Every step after the first writes in
+    place into fresh contiguous arrays, so a strided gate slice is read
+    twice and copied never."""
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    e += 1.0
+    num = np.minimum(x, 0.0)
+    np.exp(num, out=num)
+    num /= e
+    return num
 
 
 class LSTM(Layer):

@@ -15,6 +15,7 @@ from .errors import ConfigurationError, DataError, DataFormatError, SeqclError
 from .harness import (
     SWEEP_AXES,
     config_from_file,
+    read_json_input,
     read_tune_result,
     report,
     run_experiment,
@@ -29,12 +30,7 @@ log = logging.getLogger(__name__)
 
 def _load_hyperparams(path):
     """The file's JSON; the harness checks it against the strategy's keys."""
-    if path is None:
-        return {}
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"hyperparams {path} is not valid JSON: {err}") from err
+    return {} if path is None else read_json_input(path, "hyperparams")
 
 
 def _parse_axis_values(text):

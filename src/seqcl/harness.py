@@ -36,7 +36,8 @@ from .errors import (
 from .metrics import AccuracyMatrix, bootstrap_ci, forgetting
 from .models import ARCHITECTURE_RULES, ArchitectureSpec, build_model
 from .rules import (
-    COUNT, MAPPING, NONEMPTY_LIST, SIZE, SIZE_OR_NULL, TEXT, Rule, read, required_fields,
+    COUNT, FLAG, MAPPING, NONEMPTY_LIST, SIZE, SIZE_OR_NULL, TEXT, VECTOR, Rule, one_of, read,
+    required_fields,
 )
 from .strategies import SI_DAMPING, STRATEGIES, build_strategy
 from .training import (
@@ -138,12 +139,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return config
 
 
-def config_from_file(path) -> ExperimentConfig:
+def read_json_input(path, what):
+    """The JSON in the input file ``path``; a file that cannot be read or
+    is not JSON raises ConfigurationError naming ``what`` and the path."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"config {path} is not valid JSON: {err}") from err
-    return config_from_dict(raw)
+        return json.loads(Path(path).read_text())
+    except OSError as err:
+        raise ConfigurationError(f"cannot read {what} {path}: {err.strerror or err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ConfigurationError(f"{what} {path} is not valid JSON: {err}") from err
+
+
+def config_from_file(path) -> ExperimentConfig:
+    return config_from_dict(read_json_input(path, "config"))
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
@@ -361,11 +369,7 @@ def write_tune_result(config: ExperimentConfig, result: dict) -> Path:
 def read_tune_result(path) -> dict:
     """A ``tune.json`` checked against TUNE_RULES; a malformed file raises
     ConfigurationError, since it is an input to ``run``."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as err:
-        raise ConfigurationError(f"{path} is not valid JSON: {err}") from err
-    return read(TUNE_RULES, raw, "tune.json", tuple(TUNE_RULES))
+    return read(TUNE_RULES, read_json_input(path, "tune result"), "tune.json", tuple(TUNE_RULES))
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +398,26 @@ def _leakage_audit(consumed) -> list:
         union_train |= entry["train"]
         union_test |= entry["test"]
     return sorted(union_train & union_test)
+
+
+# metadata.json key -> rule; ``report`` reads the fingerprint, the runs and the
+# config keys it summarizes, so those are required and the rest may be absent
+_RUN_ENTRIES = Rule("a list of {run: an int >= 0, status: ok or failed} mappings",
+                  lambda v: isinstance(v, list) and all(
+                      isinstance(e, dict) and SIZE.accepts(e.get("run"))
+                      and e.get("status") in ("ok", "failed") for e in v))
+_REPORTED_CONFIG_KEYS = ("epochs_per_task", "strategy", "architecture")
+METADATA_RULES = {
+    "fingerprint": TEXT, "runs": _RUN_ENTRIES,
+    "config": Rule("a mapping", lambda v: isinstance(v, dict), lambda v: read(
+        EXPERIMENT_RULES, v, "metadata.json.config", _REPORTED_CONFIG_KEYS)),
+    "chosen_hyperparams": MAPPING, "class_weights": VECTOR, "library_version": TEXT,
+    "defaults": MAPPING, "tasks": NONEMPTY_LIST, "excluded_tuning_tasks": FLAG,
+}
+METADATA_REQUIRED = ("fingerprint", "config", "runs")
+
+# first line of a run file -> rule; the record lines after it are not checked
+RUN_HEADER_RULES = {"fingerprint": TEXT, "run": SIZE}
 
 
 def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
@@ -536,12 +560,26 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
 # reporting
 
 
+def _read_result(rules, path: Path, required, text=None) -> dict:
+    """The JSON mapping in results file ``path`` (or in ``text``, a line read
+    from it) checked against ``rules``; a file that cannot be read, is not
+    JSON or fails a rule raises ReportError."""
+    try:
+        raw = json.loads(path.read_text() if text is None else text)
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise ReportError(f"cannot read {path}: {err}") from err
+    try:
+        return read(rules, raw, path.name, required)
+    except ConfigurationError as err:
+        raise ReportError(f"in {path.parent}: {err}") from err
+
+
 def _read_experiment(exp_dir: Path):
     """metadata.json and the records of every run it lists as ok."""
     meta_path = exp_dir / "metadata.json"
     if not meta_path.exists():
         raise ReportError(f"{exp_dir} has no metadata.json")
-    metadata = json.loads(meta_path.read_text())
+    metadata = _read_result(METADATA_RULES, meta_path, METADATA_REQUIRED)
     runs = {}
     fingerprints = {metadata["fingerprint"]}
     for entry in metadata["runs"]:
@@ -551,7 +589,9 @@ def _read_experiment(exp_dir: Path):
         if not path.exists():
             raise ReportError(f"{exp_dir} lists run {entry['run']} as ok but has no {path.name}")
         with path.open() as fh:
-            fingerprints.add(json.loads(fh.readline())["fingerprint"])
+            header = _read_result(RUN_HEADER_RULES, path, tuple(RUN_HEADER_RULES),
+                                  fh.readline())
+            fingerprints.add(header["fingerprint"])
             runs[entry["run"]] = [json.loads(line) for line in fh]
     if len(fingerprints) > 1:
         raise ReportError(
@@ -669,7 +709,7 @@ def report(results_dir) -> dict:
         raise ReportError(f"no such results directory: {results_dir}")
     sweep_manifest = results_dir / "sweep.json"
     if sweep_manifest.exists():
-        manifest = json.loads(sweep_manifest.read_text())
+        manifest = _read_result(SWEEP_RULES, sweep_manifest, tuple(SWEEP_RULES))
         exp_dirs = [results_dir / group["dir"] for group in manifest["groups"]]
     elif (results_dir / "metadata.json").exists():
         exp_dirs = [results_dir]
@@ -712,6 +752,14 @@ SWEEP_AXES = ("buffer_budget", "curriculum")
 _DEFAULT_SWEEP_VALUES = {
     "buffer_budget": [256, 512, 1024],
     "curriculum": [0, 1, 2],
+}
+
+# sweep.json key -> rule; ``report`` reads each group's directory
+SWEEP_RULES = {
+    "axis": one_of(SWEEP_AXES), "master_seed": SIZE,
+    "groups": Rule("a nonempty list of mappings with a string dir",
+                   lambda v: isinstance(v, list) and len(v) > 0 and all(
+                       isinstance(g, dict) and TEXT.accepts(g.get("dir")) for g in v)),
 }
 
 

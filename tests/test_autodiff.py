@@ -182,6 +182,45 @@ def test_graph_must_end_in_two_logits():
         ad.Graph([ad.Dense(4, 3)], ("flat", 4))
 
 
+def masked_sigmoid(x):
+    """The two-branch sigmoid through a select: the oracle for _sigmoid."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_sigmoid_bits_match_select_form_at_edges():
+    x = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 745.2, -745.2,
+                  709.78, -709.78, 36.8, -36.8, 1e-300, -1e-300])
+    assert_same_bits(ad._sigmoid(x), masked_sigmoid(x))
+
+
+def test_sigmoid_bits_match_select_form_on_scaled_normals():
+    x = RNG(0).standard_normal(10**6) * RNG(1).choice([1e-3, 1.0, 8.0, 100.0], 10**6)
+    assert_same_bits(ad._sigmoid(x), masked_sigmoid(x))
+
+
+def test_sigmoid_bits_match_select_form_on_random_bit_patterns():
+    x = RNG(2).integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, 10**5,
+                        dtype=np.int64, endpoint=True).view(np.float64)
+    x = x[np.isfinite(x)]
+    assert_same_bits(ad._sigmoid(x), masked_sigmoid(x))
+
+
+@pytest.mark.parametrize("n", [64, 372])
+def test_sigmoid_bits_match_select_form_on_strided_gate_slices(n):
+    # the LSTM's i, f and o gates are column slices of its [N, 4H] pre-activations
+    z = RNG(n).standard_normal((n, 128)) * 4.0
+    for gate in (slice(0, 32), slice(32, 64), slice(96, 128)):
+        got = ad._sigmoid(z[:, gate])
+        assert got.flags.c_contiguous
+        assert_same_bits(got, masked_sigmoid(z[:, gate]))
+
+
 # ------------------------------------------------------------------ backward
 
 
