@@ -14,24 +14,20 @@ Prints, per metric, the largest absolute difference and the fraction of rows
 whose value changed, then a verdict. Exits 0 when the records are identical,
 1 on any difference (a file on one side only, a different row count, a
 changed metric or a changed non-metric field) and 2 when a tree holds no
-run files.
+run files or a run file cannot be read.
 """
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
+from seqcl.errors import ReportError
+from seqcl.harness import read_run_file
+
 
 def run_files(tree):
     return {p.relative_to(tree).as_posix(): p for p in sorted(tree.glob("*/run_*.jsonl"))}
-
-
-def read_rows(path):
-    with path.open() as fh:
-        lines = fh.read().splitlines()
-    return [json.loads(line) for line in lines[1:]]
 
 
 def metric_difference(a, b):
@@ -53,7 +49,7 @@ def compare(parent, change):
                 for name in sorted(names)]
     metrics, rows = {}, 0
     for name in sorted(left.keys() & right.keys()):
-        a_rows, b_rows = read_rows(left[name]), read_rows(right[name])
+        (_, a_rows), (_, b_rows) = read_run_file(left[name]), read_run_file(right[name])
         if len(a_rows) != len(b_rows):
             problems.append(f"{name}: {len(a_rows)} rows vs {len(b_rows)}")
         for i, (a, b) in enumerate(zip(a_rows, b_rows), start=2):
@@ -79,7 +75,11 @@ def main(argv=None):
         if not run_files(tree):
             print(f"no */run_*.jsonl files under {tree}", file=sys.stderr)
             return 2
-    metrics, rows, problems = compare(args.parent, args.change)
+    try:
+        metrics, rows, problems = compare(args.parent, args.change)
+    except ReportError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     print(f"{rows} rows compared")
     print(f"  {'metric':24s} {'max |diff|':>12s}  changed rows")
     for key in sorted(metrics):

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, DataFormatError
-from .rules import MAPPING, SIZE, TEXT, Rule, one_of, read
+from .errors import DataFormatError
+from .rules import MAPPING, SIZE, TEXT, Rule, decoding, load_json, one_of, read
 
 _DTYPES = {"<f8": np.dtype("<f8"), "<i8": np.dtype("<i8")}
 
@@ -83,20 +83,14 @@ def read_bundle(path, header_rules):
     path = Path(path)
     mpath = path / MANIFEST_NAME
     bpath = path / BLOB_NAME
-    if not mpath.exists():
-        raise DataFormatError(f"no {MANIFEST_NAME} under {path}")
-    try:
-        manifest = read(MANIFEST_RULES, json.loads(mpath.read_text()), "manifest", MANIFEST_RULES)
-        header = read(header_rules, manifest["header"], "header", header_rules)
-        entries = [read(ENTRY_RULES, entry, f"manifest.arrays[{i}]", ENTRY_RULES)
-                   for i, entry in enumerate(manifest["arrays"])]
-    except json.JSONDecodeError as exc:
-        raise DataFormatError(f"manifest is not valid JSON: {exc}") from exc
-    except ConfigurationError as exc:
-        raise DataFormatError(str(exc)) from exc
-    if not bpath.exists():
-        raise DataFormatError(f"no {BLOB_NAME} under {path}")
-    blob = bpath.read_bytes()
+    manifest = read(MANIFEST_RULES, load_json(mpath, DataFormatError), str(mpath),
+                    MANIFEST_RULES, DataFormatError)
+    header = read(header_rules, manifest["header"], f"{mpath}.header", header_rules,
+                  DataFormatError)
+    entries = [read(ENTRY_RULES, entry, f"{mpath}.arrays[{i}]", ENTRY_RULES, DataFormatError)
+               for i, entry in enumerate(manifest["arrays"])]
+    with decoding(bpath, DataFormatError):
+        blob = bpath.read_bytes()
     if len(blob) != manifest["total_bytes"]:
         raise DataFormatError(
             f"blob truncated or padded: manifest expects {manifest['total_bytes']} bytes, "

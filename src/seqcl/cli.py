@@ -15,7 +15,6 @@ from .errors import ConfigurationError, DataError, DataFormatError, SeqclError
 from .harness import (
     SWEEP_AXES,
     config_from_file,
-    read_json_input,
     read_tune_result,
     report,
     run_experiment,
@@ -23,14 +22,14 @@ from .harness import (
     tune,
     write_tune_result,
 )
-from .rules import SIZE
+from .rules import SIZE, load_json
 
 log = logging.getLogger(__name__)
 
 
 def _load_hyperparams(path):
     """The file's JSON; the harness checks it against the strategy's keys."""
-    return {} if path is None else read_json_input(path, "hyperparams")
+    return {} if path is None else load_json(path)
 
 
 def _parse_axis_values(text):

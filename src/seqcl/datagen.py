@@ -29,7 +29,6 @@ means.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass
@@ -40,8 +39,8 @@ import numpy as np
 from .blobio import read_bundle, write_bundle
 from .errors import ConfigurationError, DataError, DataFormatError
 from .rules import (
-    COUNT, NON_NEGATIVE, OPEN_UNIT, SIZE, TEXT, VECTOR, VECTOR_OR_NULL, Rule, one_of, read,
-    required_fields,
+    COUNT, NON_NEGATIVE, OPEN_UNIT, SIZE, TEXT, VECTOR, VECTOR_OR_NULL, Rule, load_json, one_of,
+    read, required_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -670,11 +669,7 @@ def resolve_profile(spec) -> ShiftProfile:
     spec = str(spec)
     path = Path(spec)
     if path.is_file():
-        try:
-            payload = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"profile file {spec!r} is not valid JSON: {exc}")
-        return ShiftProfile.from_json_dict(payload)
+        return ShiftProfile.from_json_dict(load_json(path))
     if path.suffix == ".json":
         raise ConfigurationError(f"profile file {spec!r} not found")
     return builtin_profile(spec)

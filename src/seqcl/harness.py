@@ -36,8 +36,8 @@ from .errors import (
 from .metrics import AccuracyMatrix, bootstrap_ci, forgetting
 from .models import ARCHITECTURE_RULES, ArchitectureSpec, build_model
 from .rules import (
-    COUNT, FLAG, MAPPING, NONEMPTY_LIST, SIZE, SIZE_OR_NULL, TEXT, VECTOR, Rule, one_of, read,
-    required_fields,
+    COUNT, FLAG, MAPPING, NONEMPTY_LIST, SIZE, SIZE_OR_NULL, TEXT, VECTOR, Rule, decoding,
+    load_json, one_of, read, required_fields,
 )
 from .strategies import SI_DAMPING, STRATEGIES, build_strategy
 from .training import (
@@ -139,19 +139,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return config
 
 
-def read_json_input(path, what):
-    """The JSON in the input file ``path``; a file that cannot be read or
-    is not JSON raises ConfigurationError naming ``what`` and the path."""
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as err:
-        raise ConfigurationError(f"cannot read {what} {path}: {err.strerror or err}") from err
-    except (json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ConfigurationError(f"{what} {path} is not valid JSON: {err}") from err
-
-
 def config_from_file(path) -> ExperimentConfig:
-    return config_from_dict(read_json_input(path, "config"))
+    return config_from_dict(load_json(path))
 
 
 def config_fingerprint(config: ExperimentConfig) -> str:
@@ -369,7 +358,7 @@ def write_tune_result(config: ExperimentConfig, result: dict) -> Path:
 def read_tune_result(path) -> dict:
     """A ``tune.json`` checked against TUNE_RULES; a malformed file raises
     ConfigurationError, since it is an input to ``run``."""
-    return read(TUNE_RULES, read_json_input(path, "tune result"), "tune.json", tuple(TUNE_RULES))
+    return read(TUNE_RULES, load_json(path), "tune.json", tuple(TUNE_RULES))
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +397,7 @@ _RUN_ENTRIES = Rule("a list of {run: an int >= 0, status: ok or failed} mappings
                       and e.get("status") in ("ok", "failed") for e in v))
 _REPORTED_CONFIG_KEYS = ("epochs_per_task", "strategy", "architecture")
 METADATA_RULES = {
-    "fingerprint": TEXT, "runs": _RUN_ENTRIES,
-    "config": Rule("a mapping", lambda v: isinstance(v, dict), lambda v: read(
-        EXPERIMENT_RULES, v, "metadata.json.config", _REPORTED_CONFIG_KEYS)),
+    "fingerprint": TEXT, "runs": _RUN_ENTRIES, "config": MAPPING,
     "chosen_hyperparams": MAPPING, "class_weights": VECTOR, "library_version": TEXT,
     "defaults": MAPPING, "tasks": NONEMPTY_LIST, "excluded_tuning_tasks": FLAG,
 }
@@ -418,6 +405,17 @@ METADATA_REQUIRED = ("fingerprint", "config", "runs")
 
 # first line of a run file -> rule; the record lines after it are not checked
 RUN_HEADER_RULES = {"fingerprint": TEXT, "run": SIZE}
+
+
+def read_run_file(path):
+    """(header, records) of run file ``path``: its first line checked against
+    RUN_HEADER_RULES, then one record per line. A file that cannot be read,
+    a line that is not JSON or a header that fails a rule raises ReportError
+    naming the file."""
+    with decoding(path, ReportError), Path(path).open() as fh:
+        header = read(RUN_HEADER_RULES, json.loads(fh.readline()), str(path),
+                      RUN_HEADER_RULES, ReportError)
+        return header, [json.loads(line) for line in fh]
 
 
 def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
@@ -560,26 +558,13 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
 # reporting
 
 
-def _read_result(rules, path: Path, required, text=None) -> dict:
-    """The JSON mapping in results file ``path`` (or in ``text``, a line read
-    from it) checked against ``rules``; a file that cannot be read, is not
-    JSON or fails a rule raises ReportError."""
-    try:
-        raw = json.loads(path.read_text() if text is None else text)
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as err:
-        raise ReportError(f"cannot read {path}: {err}") from err
-    try:
-        return read(rules, raw, path.name, required)
-    except ConfigurationError as err:
-        raise ReportError(f"in {path.parent}: {err}") from err
-
-
 def _read_experiment(exp_dir: Path):
     """metadata.json and the records of every run it lists as ok."""
     meta_path = exp_dir / "metadata.json"
-    if not meta_path.exists():
-        raise ReportError(f"{exp_dir} has no metadata.json")
-    metadata = _read_result(METADATA_RULES, meta_path, METADATA_REQUIRED)
+    metadata = read(METADATA_RULES, load_json(meta_path, ReportError), str(meta_path),
+                    METADATA_REQUIRED, ReportError)
+    metadata["config"] = read(EXPERIMENT_RULES, metadata["config"], f"{meta_path}.config",
+                              _REPORTED_CONFIG_KEYS, ReportError)
     runs = {}
     fingerprints = {metadata["fingerprint"]}
     for entry in metadata["runs"]:
@@ -588,11 +573,8 @@ def _read_experiment(exp_dir: Path):
         path = exp_dir / f"run_{entry['run']:02d}.jsonl"
         if not path.exists():
             raise ReportError(f"{exp_dir} lists run {entry['run']} as ok but has no {path.name}")
-        with path.open() as fh:
-            header = _read_result(RUN_HEADER_RULES, path, tuple(RUN_HEADER_RULES),
-                                  fh.readline())
-            fingerprints.add(header["fingerprint"])
-            runs[entry["run"]] = [json.loads(line) for line in fh]
+        header, runs[entry["run"]] = read_run_file(path)
+        fingerprints.add(header["fingerprint"])
     if len(fingerprints) > 1:
         raise ReportError(
             "mixed config fingerprints in one directory: "
@@ -709,7 +691,8 @@ def report(results_dir) -> dict:
         raise ReportError(f"no such results directory: {results_dir}")
     sweep_manifest = results_dir / "sweep.json"
     if sweep_manifest.exists():
-        manifest = _read_result(SWEEP_RULES, sweep_manifest, tuple(SWEEP_RULES))
+        manifest = read(SWEEP_RULES, load_json(sweep_manifest, ReportError), str(sweep_manifest),
+                        SWEEP_RULES, ReportError)
         exp_dirs = [results_dir / group["dir"] for group in manifest["groups"]]
     elif (results_dir / "metadata.json").exists():
         exp_dirs = [results_dir]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .autodiff import PROB_EPS
 from .errors import DataError, UndefinedMetricError, UsageError
 
 
@@ -202,6 +203,6 @@ def summarize_classification(probabilities, labels, class_weights, threshold=0.5
     out["auroc"] = roc
     out["auprc"] = prc
     weights = np.asarray(class_weights, dtype=np.float64)
-    p_true = np.clip(probs[np.arange(labels.size), labels], 1e-12, 1.0 - 1e-12)
+    p_true = np.clip(probs[np.arange(labels.size), labels], PROB_EPS, 1.0 - PROB_EPS)
     out["weighted_ce"] = float(np.mean(-weights[labels] * np.log(p_true)))
     return out

@@ -1,19 +1,26 @@
-"""Value rules for configuration keys, and the one reader of mappings.
+"""Value rules for configuration keys, the one reader of mappings and the
+one decoder of JSON files.
 
 A ``Rule`` checks one value of one key: ``rule(key, value)`` raises
-ConfigurationError naming the key, or returns the value normalised for a
-constructor. Each owner declares one table, key -> rule: the architecture in
-``models``, the trainer in ``training``, each strategy in its ``hyperparams``,
-the config and its ``data`` in ``harness``, a cohort profile and its domain
-entries in ``datagen``, a dataset manifest in ``blobio``. ``read`` checks a
-mapping against its table (type, unknown keys, missing keys, then each
-value); every mapping read from outside, and every ``validate``, goes
-through it.
+ConfigurationError (or the caller's error class) naming the key, or returns
+the value normalised for a constructor. Each owner declares one table, key ->
+rule: the architecture in ``models``, the trainer in ``training``, each
+strategy in its ``hyperparams``, the config and its ``data`` in ``harness``,
+a cohort profile and its domain entries in ``datagen``, a dataset manifest in
+``blobio``. ``read`` checks a mapping against its table (type, unknown keys,
+missing keys, then each value); every mapping read from outside, and every
+``validate``, goes through it. ``load_json`` decodes every JSON file the
+package reads, and ``decoding`` covers run files read line by line; each
+raises the caller's error class naming the file: ConfigurationError for
+inputs, DataFormatError for manifests and ReportError for results.
 """
 
+import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
+from pathlib import Path
 from typing import Callable
 
 from .errors import ConfigurationError
@@ -25,9 +32,9 @@ class Rule:
     accepts: Callable
     normalise: Callable = lambda value: value
 
-    def __call__(self, key, value):
+    def __call__(self, key, value, error=ConfigurationError):
         if not self.accepts(value):
-            raise ConfigurationError(f"{key} must be {self.what}, got {value!r}")
+            raise error(f"{key} must be {self.what}, got {value!r}")
         return self.normalise(value)
 
 
@@ -79,16 +86,35 @@ def required_fields(cls) -> tuple:
                  if f.default is MISSING and f.default_factory is MISSING)
 
 
-def read(rules, raw, where, required=()) -> dict:
+def read(rules, raw, where, required=(), error=ConfigurationError) -> dict:
     """{key: normalised value} of ``raw``, a dict with no key outside ``rules``
     and every key of ``required``, whose values pass their rules (which name
-    them ``where.key``); anything else raises ConfigurationError."""
+    them ``where.key``); anything else raises ``error``."""
     if not isinstance(raw, dict):
-        raise ConfigurationError(f"{where} must be a mapping, got {raw!r}")
+        raise error(f"{where} must be a mapping, got {raw!r}")
     unknown = [key for key in raw if key not in rules]
     if unknown:
-        raise ConfigurationError(f"{where}: unknown keys {unknown}")
+        raise error(f"{where}: unknown keys {unknown}")
     missing = [key for key in required if key not in raw]
     if missing:
-        raise ConfigurationError(f"{where}: missing keys {missing}")
-    return {key: rule(f"{where}.{key}", raw[key]) for key, rule in rules.items() if key in raw}
+        raise error(f"{where}: missing keys {missing}")
+    return {key: rule(f"{where}.{key}", raw[key], error)
+            for key, rule in rules.items() if key in raw}
+
+
+@contextmanager
+def decoding(path, error):
+    """Within it, a failure to read file ``path`` or to decode its text or
+    JSON raises ``error`` naming the path."""
+    try:
+        yield
+    except OSError as err:
+        raise error(f"cannot read {path}: {err.strerror or err}") from err
+    except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        raise error(f"{path} is not valid JSON: {err}") from err
+
+
+def load_json(path, error=ConfigurationError):
+    """The JSON value in file ``path``; see ``decoding`` for what raises ``error``."""
+    with decoding(path, error):
+        return json.loads(Path(path).read_text())

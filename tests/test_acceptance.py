@@ -370,14 +370,16 @@ def test_06_forgetting_demonstration(tmp_path):
             angles_deg=(0.0, 90.0, 180.0),
         ),
     )
-    drops = {}
-    for strategy in ("naive", "replay", "cumulative"):
+
+    def mean_drop(strategy):
         config = _experiment_config(profile, "site", strategy,
                                     tmp_path / strategy)
         outs = harness.run_experiment(config)
-        drops[strategy] = float(np.mean(
-            [_task_drop(o.records, 0, 2, 40) for o in outs]
-        ))
+        return float(np.mean([_task_drop(o.records, 0, 2, 40) for o in outs]))
+
+    # the three experiments are independent seeded units
+    strategies = ("naive", "replay", "cumulative")
+    drops = dict(zip(strategies, harness._map_units(mean_drop, strategies)))
     elapsed = time.monotonic() - t0
     ok = (
         drops["naive"] >= 0.10
@@ -411,17 +413,23 @@ def test_07_many_task_degradation(tmp_path):
             angles_deg=tuple(18.0 * j for j in range(20)),
         ),
     )
-    outcomes = {}
-    for name, strategy, hp in (
-        ("naive", "naive", None),
-        ("ewc", "ewc", {"ewc_lambda": 10.0}),
-        ("replay", "replay", None),
-    ):
+
+    def outcome(experiment):
+        name, strategy, hp = experiment
         config = _experiment_config(profile, "hospital", strategy,
                                     tmp_path / name)
         outs = harness.run_experiment(config, hyperparams=hp)
         values = [harness.final_mean_forgetting(o.records, 40) for o in outs]
-        outcomes[name] = (float(np.mean(values)), bootstrap_ci(values))
+        return float(np.mean(values)), bootstrap_ci(values)
+
+    # the three experiments are independent seeded units
+    experiments = (
+        ("naive", "naive", None),
+        ("ewc", "ewc", {"ewc_lambda": 10.0}),
+        ("replay", "replay", None),
+    )
+    outcomes = {experiment[0]: result for experiment, result in zip(
+        experiments, harness._map_units(outcome, experiments))}
     elapsed = time.monotonic() - t0
     naive_ci = outcomes["naive"][1]
     ewc_ci = outcomes["ewc"][1]

@@ -63,3 +63,13 @@ def test_a_tree_without_run_files_is_a_usage_error(tmp_path):
     a = write_tree(tmp_path / "a", "f", [row(0, 0.6)])
     (tmp_path / "empty").mkdir()
     assert compare_records.main([str(a), str(tmp_path / "empty")]) == 2
+
+
+@pytest.mark.parametrize("tail", [b'{"trunc', b"\xff\xff"], ids=["truncated", "undecodable"])
+def test_a_run_file_that_cannot_be_decoded_exits_2_naming_it(tmp_path, capsys, tail):
+    a = write_tree(tmp_path / "a", "f", [row(0, 0.6)])
+    b = write_tree(tmp_path / "b", "f", [row(0, 0.6)])
+    path = b / "replay" / "run_00.jsonl"
+    path.write_bytes(path.read_bytes() + tail)
+    assert compare_records.main([str(a), str(b)]) == 2
+    assert str(path) in capsys.readouterr().err

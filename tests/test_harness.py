@@ -970,23 +970,28 @@ class TestCli:
     def test_report_on_missing_directory_fails(self, tmp_path):
         assert cli_main(["report", str(tmp_path / "nope")]) == 3
 
-    @pytest.mark.parametrize("argv", [
-        ["run", "{missing}"], ["tune", "{missing}"],
-        ["sweep", "{missing}", "--axis", "curriculum"],
-        ["run", "{config}", "--hyperparams", "{missing}"],
-        ["sweep", "{config}", "--axis", "curriculum", "--hyperparams", "{missing}"],
-        ["run", "{directory}"], ["run", "{binary}"],
+    @pytest.mark.parametrize("argv,unreadable", [
+        (["run", "{missing}"], "missing"), (["tune", "{missing}"], "missing"),
+        (["sweep", "{missing}", "--axis", "curriculum"], "missing"),
+        (["run", "{config}", "--hyperparams", "{missing}"], "missing"),
+        (["sweep", "{config}", "--axis", "curriculum", "--hyperparams", "{missing}"], "missing"),
+        (["run", "{directory}"], "directory"), (["run", "{binary}"], "binary"),
+        (["generate-data", "{binary}", "{out}"], "binary"),
+        (["run", "{binary_profile_config}"], "binary"),
     ], ids=["run", "tune", "sweep", "run-hyperparams", "sweep-hyperparams", "directory",
-            "binary"])
+            "binary", "generate-data-binary-profile", "run-binary-profile"])
     def test_unreadable_input_file_exits_2_naming_it(self, profile_path, tmp_path, capsys,
-                                                     argv):
+                                                     argv, unreadable):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(base_config(profile_path, tmp_path / "out")))
         (tmp_path / "directory").mkdir()
         (tmp_path / "binary.json").write_bytes(b"\xff\xfe{")
+        binary_profile_config = tmp_path / "binary_profile_config.json"
+        binary_profile_config.write_text(json.dumps(
+            base_config(tmp_path / "binary.json", tmp_path / "out")))
         paths = {"missing": tmp_path / "missing.json", "config": cfg,
-                 "directory": tmp_path / "directory", "binary": tmp_path / "binary.json"}
-        unreadable, = {arg[1:-1] for arg in argv if arg[1:-1] in paths} - {"config"}
+                 "directory": tmp_path / "directory", "binary": tmp_path / "binary.json",
+                 "binary_profile_config": binary_profile_config, "out": tmp_path / "out"}
         assert cli_main([arg.format(**paths) for arg in argv]) == 2
         assert str(paths[unreadable]) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -998,21 +1003,27 @@ class TestCli:
         ("g0/metadata.json", lambda meta: "{truncated"),
         ("g0/run_00.jsonl", lambda header: {"run": 0}),
         ("g0/run_00.jsonl", lambda header: "not json"),
+        ("g0/run_00.jsonl", b'{"trunc'),
+        ("g0/run_00.jsonl", b"\xff\xff"),
         ("sweep.json", lambda manifest: {**manifest, "groups": [{"dir": 0}]}),
         ("sweep.json", lambda manifest: [manifest]),
     ], ids=["metadata-no-fingerprint", "metadata-run-text", "metadata-config-no-epochs",
             "metadata-not-json", "header-no-fingerprint", "header-not-json",
-            "sweep-dir-int", "sweep-list"])
+            "record-truncated", "record-undecodable", "sweep-dir-int", "sweep-list"])
     def test_malformed_results_file_exits_3_naming_it(self, tmp_path, capsys, name, damage):
+        """``damage`` rewrites the file's first line, or is bytes appended to it."""
         write_fake_experiment(tmp_path / "sw" / "g0", [[[0.8], [0.7, 0.9]]])
         (tmp_path / "sw" / "sweep.json").write_text(json.dumps(
             {"axis": "curriculum", "groups": [{"dir": "g0"}], "master_seed": 0}))
         assert cli_main(["report", str(tmp_path / "sw")]) == 0
         path = tmp_path / "sw" / name
-        first, *rest = path.read_text().splitlines(keepends=True)
-        damaged = damage(json.loads(first))
-        text = damaged if isinstance(damaged, str) else json.dumps(damaged)
-        path.write_text("".join([text + "\n", *rest]))
+        if isinstance(damage, bytes):
+            path.write_bytes(path.read_bytes() + damage)
+        else:
+            first, *rest = path.read_text().splitlines(keepends=True)
+            damaged = damage(json.loads(first))
+            text = damaged if isinstance(damaged, str) else json.dumps(damaged)
+            path.write_text("".join([text + "\n", *rest]))
         capsys.readouterr()
         assert cli_main(["report", str(tmp_path / "sw")]) == 3
         assert path.name in capsys.readouterr().err

@@ -182,19 +182,23 @@ BAD_MANIFESTS = {
     "no domain_vocabularies": lambda m: m["header"].pop("domain_vocabularies"),
     "negative offset": lambda m: m["arrays"][1].__setitem__("offset", -8),
     "text shape": lambda m: m["arrays"][0].__setitem__("shape", "ab"),
+    "trailing 0xff byte": lambda m: json.dumps(m).encode() + b"\xff",
 }
 
 
 @pytest.mark.parametrize("defect", BAD_MANIFESTS)
-def test_bad_manifest_is_a_data_format_error_and_exits_2(tmp_path, defect):
+def test_bad_manifest_is_a_data_format_error_and_exits_2(tmp_path, capsys, defect):
+    """A defect edits the manifest in place, or returns the bytes to write."""
     bundle = tmp_path / "cohort"
     dg.write_dataset(dg.generate_cohort(dg.resolve_profile(PROFILE), seed=0), bundle)
     dg.load_dataset(bundle)
     manifest = json.loads((bundle / MANIFEST_NAME).read_text())
-    BAD_MANIFESTS[defect](manifest)
-    (bundle / MANIFEST_NAME).write_text(json.dumps(manifest))
+    damaged = BAD_MANIFESTS[defect](manifest)
+    (bundle / MANIFEST_NAME).write_bytes(
+        damaged if isinstance(damaged, bytes) else json.dumps(manifest).encode())
     with pytest.raises(DataFormatError):
         dg.load_dataset(bundle)
     cfg = _profile_config(tmp_path, data={"path": str(bundle)})
     assert cli_main(["run", str(cfg)]) == 2
+    assert str(bundle / MANIFEST_NAME) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
