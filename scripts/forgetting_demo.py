@@ -18,36 +18,24 @@ import pathlib
 import numpy as np
 
 from seqcl import harness
-from seqcl.datagen import conflicting_stream_profile
+from seqcl.datagen import SITES3_STREAM, conflicting_stream_profile
 
 
 def build_profile(n_patients):
-    return conflicting_stream_profile(
-        key="site", prefix="site", n_patients=n_patients,
-        dt=8, seq_len=24, amplitude=2.8, prevalence=0.25,
-        angles_deg=[0.0, 90.0, 180.0],
-    )
+    return conflicting_stream_profile(n_patients=n_patients, **SITES3_STREAM)
 
 
 def first_task_trajectory(outs, epochs):
-    """Across-run mean test balanced accuracy of the first task, plus the
-    per-run peak-to-final drops."""
-    drops = []
+    """Per run, the first task's peak test balanced accuracy while it trains
+    and its final one after the last task."""
+    pairs = []
     for out in outs:
-        peak = max(
-            r["metrics"]["balanced_accuracy"]
-            for r in out.records
-            if r["trained_task"] == 0 and r["eval_task"] == 0
-            and r["split"] == "test"
-        )
-        final = next(
-            r["metrics"]["balanced_accuracy"]
-            for r in out.records
-            if r["trained_task"] == 2 and r["eval_task"] == 0
-            and r["split"] == "test" and r["epoch"] == epochs - 1
-        )
-        drops.append((peak, final))
-    return drops
+        first = [r for r in out.records if r["eval_task"] == 0 and r["split"] == "test"]
+        peak = max(r["metrics"]["balanced_accuracy"] for r in first if r["trained_task"] == 0)
+        final = next(r["metrics"]["balanced_accuracy"] for r in first
+                     if r["trained_task"] == 2 and r["epoch"] == epochs - 1)
+        pairs.append((peak, final))
+    return pairs
 
 
 def main():
@@ -68,8 +56,8 @@ def main():
     profile_path.write_text(json.dumps(build_profile(args.patients), indent=2))
 
     print(f"cohort profile written to {profile_path}")
-    print(f"{'strategy':12s} {'peak':>6s} {'final':>6s} {'drop':>7s}   per-run drops")
-    for strategy in ("naive", "replay", "cumulative"):
+
+    def trajectory(strategy):
         config = harness.config_from_dict({
             "data": {"profile": str(profile_path), "seed": 11},
             "domain_key": "site",
@@ -82,14 +70,17 @@ def main():
             "n_runs": args.runs,
             "master_seed": args.master_seed,
         })
-        outs = harness.run_experiment(config)
-        pairs = first_task_trajectory(outs, args.epochs)
+        return first_task_trajectory(harness.run_experiment(config), args.epochs)
+
+    # the experiments are independent seeded units, trained in parallel
+    strategies = ("naive", "replay", "cumulative")
+    print(f"{'strategy':12s} {'peak':>6s} {'final':>6s} {'drop':>7s}   per-run drops")
+    for strategy, pairs in zip(strategies, harness._map_units(trajectory, strategies)):
         peak = float(np.mean([p for p, _ in pairs]))
         final = float(np.mean([f for _, f in pairs]))
         per_run = " ".join(f"{p - f:+.3f}" for p, f in pairs)
         print(f"{strategy:12s} {peak:6.3f} {final:6.3f} {peak - final:+7.3f}   {per_run}")
-    print(f"\nfull records under {out}/<strategy>/; summarize with: "
-          f"seqcl report {out}/<strategy>")
+    print(f"\nfull records under {out}/<strategy>/; summarize with: seqcl report {out}")
 
 
 if __name__ == "__main__":

@@ -16,19 +16,12 @@ import argparse
 import json
 import pathlib
 
-import numpy as np
-
 from seqcl import harness
-from seqcl.datagen import conflicting_stream_profile
-from seqcl.metrics import bootstrap_ci
+from seqcl.datagen import HOSPITAL20_STREAM, conflicting_stream_profile
 
 
 def build_profile(n_patients):
-    return conflicting_stream_profile(
-        key="hospital", prefix="hosp", n_patients=n_patients,
-        dt=6, seq_len=12, amplitude=2.8, prevalence=0.30,
-        angles_deg=[18.0 * j for j in range(20)],
-    )
+    return conflicting_stream_profile(n_patients=n_patients, **HOSPITAL20_STREAM)
 
 
 def main():
@@ -55,8 +48,9 @@ def main():
         ("online_ewc", "online_ewc", {"ewc_lambda": args.ewc_lambda}),
         ("replay", "replay", None),
     )
-    print(f"{'strategy':12s} {'forgetting':>10s}   95% CI")
-    for name, strategy, hp in jobs:
+
+    def run(job):
+        name, strategy, hp = job
         config = harness.config_from_dict({
             "data": {"profile": str(profile_path), "seed": 11},
             "domain_key": "hospital",
@@ -69,16 +63,16 @@ def main():
             "n_runs": args.runs,
             "master_seed": args.master_seed,
         })
-        outs = harness.run_experiment(config, hyperparams=hp)
-        values = [harness.final_mean_forgetting(o.records, args.epochs)
-                  for o in outs]
-        if len(values) >= 2:
-            lo, hi = bootstrap_ci(values)
-            ci = f"({lo:.3f}, {hi:.3f})"
-        else:
-            ci = "(needs >= 2 runs)"
-        print(f"{name:12s} {np.mean(values):10.3f}   {ci}")
-    print(f"\nfull records under {out}/<strategy>/")
+        harness.run_experiment(config, hyperparams=hp)
+
+    # the experiments are independent seeded units, trained in parallel
+    harness._map_units(run, jobs)
+    print(f"{'strategy':12s} {'forgetting':>10s}   95% CI")
+    for row in harness.report(out)["experiments"]:
+        ci = row["final_forgetting_ci"]
+        ci = "(needs >= 2 runs)" if ci is None else f"({ci[0]:.3f}, {ci[1]:.3f})"
+        print(f"{row['experiment']:12s} {row['final_forgetting_mean']:10.3f}   {ci}")
+    print(f"\nfull records under {out}/<strategy>/; summary tables in {out}")
 
 
 if __name__ == "__main__":

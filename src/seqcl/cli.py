@@ -75,17 +75,23 @@ def _cmd_sweep(args):
     config = config_from_file(args.config)
     values = _parse_axis_values(args.values) if args.values else None
     hyperparams = _load_hyperparams(args.hyperparams)
-    manifest = sweep(config, args.axis, values=values, hyperparams=hyperparams)
-    print(f"{len(manifest['groups'])} groups written under {config.output_dir}")
+    groups = sweep(config, args.axis, values=values, hyperparams=hyperparams)
+    print(f"{len(groups)} groups written under {config.output_dir}")
+
+
+def _mean_and_ci(row, metric):
+    """``row``'s final ``metric`` mean, with its CI where the row has one."""
+    mean, ci = row[f"final_{metric}_mean"], row[f"final_{metric}_ci"]
+    text = "n/a" if mean is None else f"{mean:.4f}"
+    return text if ci is None else f"{text} CI ({ci[0]:.4f}, {ci[1]:.4f})"
 
 
 def _cmd_report(args):
     summary = report(args.dir)
     for row in summary["experiments"]:
-        acc = row["final_balanced_accuracy_mean"]
-        acc_text = "n/a" if acc is None else f"{acc:.4f}"
         print(f"{row['experiment']}: strategy={row['strategy']} "
-              f"final balanced accuracy {acc_text} over {row['n_runs']} runs")
+              f"final balanced accuracy {_mean_and_ci(row, 'balanced_accuracy')}, "
+              f"final forgetting {_mean_and_ci(row, 'forgetting')} over {row['n_runs']} runs")
     print(f"summary tables written under {args.dir}")
 
 
@@ -122,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("report", help="summarize a results directory")
-    p.add_argument("dir", help="experiment, collection, or sweep directory")
+    p.add_argument("dir", help="an experiment directory, or a directory of them")
     p.set_defaults(fn=_cmd_report)
     return parser
 

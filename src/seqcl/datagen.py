@@ -660,6 +660,14 @@ def conflicting_stream_profile(key, prefix, n_patients, dt, seq_len, amplitude,
     }
 
 
+# conflicting_stream_profile's keywords but n_patients for the demonstration streams:
+# three sites 90 degrees apart (criterion 6), twenty hospitals 18 apart (criterion 7)
+SITES3_STREAM = dict(key="site", prefix="site", dt=8, seq_len=24, amplitude=2.8,
+                     prevalence=0.25, angles_deg=(0.0, 90.0, 180.0))
+HOSPITAL20_STREAM = dict(key="hospital", prefix="hosp", dt=6, seq_len=12, amplitude=2.8,
+                         prevalence=0.30, angles_deg=tuple(18.0 * j for j in range(20)))
+
+
 def resolve_profile(spec) -> ShiftProfile:
     """Accept a builtin name, a JSON file path, or an inline dict."""
     if isinstance(spec, ShiftProfile):

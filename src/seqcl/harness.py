@@ -6,6 +6,7 @@ The command-line layer in ``cli`` is a thin shell over these functions.
 """
 
 import csv
+import ctypes
 import functools
 import hashlib
 import itertools
@@ -37,7 +38,7 @@ from .metrics import AccuracyMatrix, bootstrap_ci, forgetting
 from .models import ARCHITECTURE_RULES, ArchitectureSpec, build_model
 from .rules import (
     COUNT, FLAG, MAPPING, NONEMPTY_LIST, SIZE, SIZE_OR_NULL, TEXT, VECTOR, Rule, decoding,
-    load_json, one_of, read, required_fields,
+    load_json, read, required_fields,
 )
 from .strategies import SI_DAMPING, STRATEGIES, build_strategy
 from .training import (
@@ -224,6 +225,14 @@ _forked_job = None  # (fn, units), set only inside _map_units' workers by their 
 def _adopt_job(fn, units):
     global _forked_job
     _forked_job = (fn, units)
+    try:  # one BLAS thread, not the parent's pool, where numpy's OpenBLAS allows it
+        from numpy._core import _multiarray_umath
+
+        set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return
+    set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+    set_threads(1)
 
 
 def _run_forked(index):
@@ -237,7 +246,8 @@ def _map_units(fn, units) -> list:
     when that is one or the platform cannot fork.
 
     ``fn`` and ``units`` reach the workers by fork, so neither is pickled:
-    only the unit indices go out and the results come back. A unit's
+    only the unit indices go out and the results come back. Each worker sets
+    its BLAS to one thread where numpy's OpenBLAS allows it. A unit's
     exception is re-raised here (the first in input order), and every worker
     has exited before this returns or raises.
     """
@@ -411,11 +421,17 @@ def read_run_file(path):
     """(header, records) of run file ``path``: its first line checked against
     RUN_HEADER_RULES, then one record per line. A file that cannot be read,
     a line that is not JSON or a header that fails a rule raises ReportError
-    naming the file."""
+    naming the file; a bad record line is named by its line number."""
     with decoding(path, ReportError), Path(path).open() as fh:
         header = read(RUN_HEADER_RULES, json.loads(fh.readline()), str(path),
                       RUN_HEADER_RULES, ReportError)
-        return header, [json.loads(line) for line in fh]
+        try:
+            return header, [json.loads(line) for line in fh]
+        except json.JSONDecodeError as err:
+            fh.seek(0)  # lines are counted only here, not while a good file is read
+            line_no = next(n for n, line in enumerate(fh, 1) if line == err.doc)
+            raise ReportError(f"{path} line {line_no} is not valid JSON: "
+                              f"{err.msg} at column {err.colno}") from err
 
 
 def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
@@ -620,34 +636,21 @@ def summarize_experiment(name, metadata, runs) -> dict:
     runs: final balanced accuracy and forgetting, means with bootstrap
     confidence intervals across runs."""
     epochs = metadata["config"]["epochs_per_task"]
-    finals, forgets = [], []
-    for records in runs.values():
-        value = _final_mean_balanced_accuracy(records, epochs)
-        if value is not None:
-            finals.append(value)
-        f = final_mean_forgetting(records, epochs)
-        if f is not None:
-            forgets.append(f)
+    per_run = {"balanced_accuracy": _final_mean_balanced_accuracy,
+               "forgetting": final_mean_forgetting}
     row = {
         "experiment": name,
         "strategy": metadata["config"]["strategy"],
         "architecture": metadata["config"]["architecture"].get("kind"),
         "n_runs": len(runs),
         "fingerprint": metadata["fingerprint"],
-        "final_balanced_accuracy_mean": float(np.mean(finals)) if finals else None,
-        "final_forgetting_mean": float(np.mean(forgets)) if forgets else None,
-        "ci_suppressed": len(finals) < 2,
     }
-    if len(finals) >= 2:
-        lo, hi = bootstrap_ci(finals)
-        row["final_balanced_accuracy_ci"] = [lo, hi]
-    else:
-        row["final_balanced_accuracy_ci"] = None
-    if len(forgets) >= 2:
-        lo, hi = bootstrap_ci(forgets)
-        row["final_forgetting_ci"] = [lo, hi]
-    else:
-        row["final_forgetting_ci"] = None
+    for metric, final_value in per_run.items():
+        values = [v for v in (final_value(records, epochs) for records in runs.values())
+                  if v is not None]
+        row[f"final_{metric}_mean"] = float(np.mean(values)) if values else None
+        row[f"final_{metric}_ci"] = list(bootstrap_ci(values)) if len(values) >= 2 else None
+    row["ci_suppressed"] = row["final_balanced_accuracy_ci"] is None
     return row
 
 
@@ -684,17 +687,12 @@ def _write_csv(path: Path, rows, fieldnames):
 
 
 def report(results_dir) -> dict:
-    """Summary tables plus plot-ready series for one experiment directory,
-    a directory of experiment subdirectories, or a sweep directory."""
+    """Summary tables plus plot-ready series for one experiment directory, or
+    for each experiment subdirectory of a directory, in name order."""
     results_dir = Path(results_dir)
     if not results_dir.exists():
         raise ReportError(f"no such results directory: {results_dir}")
-    sweep_manifest = results_dir / "sweep.json"
-    if sweep_manifest.exists():
-        manifest = read(SWEEP_RULES, load_json(sweep_manifest, ReportError), str(sweep_manifest),
-                        SWEEP_RULES, ReportError)
-        exp_dirs = [results_dir / group["dir"] for group in manifest["groups"]]
-    elif (results_dir / "metadata.json").exists():
+    if (results_dir / "metadata.json").exists():
         exp_dirs = [results_dir]
     else:
         exp_dirs = sorted(
@@ -737,17 +735,21 @@ _DEFAULT_SWEEP_VALUES = {
     "curriculum": [0, 1, 2],
 }
 
-# sweep.json key -> rule; ``report`` reads each group's directory
-SWEEP_RULES = {
-    "axis": one_of(SWEEP_AXES), "master_seed": SIZE,
-    "groups": Rule("a nonempty list of mappings with a string dir",
-                   lambda v: isinstance(v, list) and len(v) > 0 and all(
-                       isinstance(g, dict) and TEXT.accepts(g.get("dir")) for g in v)),
-}
+def _run_group(hyperparams, group_config):
+    """One sweep group's experiment; its SeqclError is returned, not raised."""
+    try:
+        run_experiment(group_config, hyperparams)
+    except SeqclError as err:
+        return err
 
 
 def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
-    """Full experiment per axis value, seeds shared, results grouped."""
+    """Full experiment per axis value, seeds shared, each group through
+    ``_map_units`` once every value and the hyperparameters are validated.
+    Returns the group directories ``<output_dir>/<axis>_<k>``, ``k`` padded to
+    the width of the last index so that name order is axis order. A failed
+    group does not stop the others; then the first failure's error class is
+    raised, naming every failed group's directory."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(
             f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}"
@@ -756,27 +758,22 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
     if not values:
         raise ConfigurationError("sweep needs at least one axis value")
     base_dir = Path(config.output_dir)
-    # every axis value and hyperparameter is validated before the first group runs
+    width = len(str(len(values) - 1))
     group_configs = [
         config_from_dict({
             **_jsonable(asdict(config)),
             axis: value,
-            "output_dir": str(base_dir / f"{axis}_{position}"),
+            "output_dir": str(base_dir / f"{axis}_{position:0{width}d}"),
         })
         for position, value in enumerate(values)
     ]
     for group_config in group_configs:
         _check_hyperparams(group_config, {} if hyperparams is None else hyperparams)
-    base_dir.mkdir(parents=True, exist_ok=True)
-    groups = []
-    for value, group_config in zip(values, group_configs):
-        run_experiment(group_config, hyperparams)
-        groups.append({
-            "axis": axis,
-            "value": _jsonable(value),
-            "dir": Path(group_config.output_dir).name,
-            "fingerprint": config_fingerprint(group_config),
-        })
-    manifest = {"axis": axis, "groups": groups, "master_seed": config.master_seed}
-    (base_dir / "sweep.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return manifest
+    errors = _map_units(functools.partial(_run_group, hyperparams), group_configs)
+    failures = {group_config.output_dir: err
+                for group_config, err in zip(group_configs, errors) if err is not None}
+    if failures:  # the first failure's class keeps its exit code in the CLI
+        first = next(iter(failures.values()))
+        first.args = ("; ".join(f"group {d} failed: {err}" for d, err in failures.items()),)
+        raise first
+    return [Path(group_config.output_dir) for group_config in group_configs]

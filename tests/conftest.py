@@ -1,11 +1,10 @@
 """Session setup: BLAS runs one thread per process.
 
-The slow demonstrations train their independent experiments on forked
-workers through ``harness._map_units``, one per usable CPU. Each worker
-inherits the BLAS thread pool, so a multi-threaded BLAS puts several threads
-on every CPU: test_07 took 214 s that way on 2 vCPUs, against 110 s in one
-process. pytest imports this file before any test module, so before numpy;
-a value already in the environment wins.
+``harness._map_units`` sets each forked worker to one BLAS thread itself.
+The pin here covers the tests that train in this process, so every test
+trains with the BLAS threading the workers use. pytest imports this file
+before any test module, so before numpy; a value already in the environment
+wins.
 """
 
 import os

@@ -21,7 +21,7 @@ import pytest
 import seqcl.strategies as cl
 from seqcl import harness
 from seqcl import metrics as mt
-from seqcl.datagen import conflicting_stream_profile
+from seqcl.datagen import HOSPITAL20_STREAM, SITES3_STREAM, conflicting_stream_profile
 from seqcl.metrics import bootstrap_ci
 from seqcl.models import ArchitectureSpec, build_model
 from seqcl.training import TaskStream, TrainerSettings, run_single
@@ -364,11 +364,7 @@ def test_06_forgetting_demonstration(tmp_path):
     profile = _write_profile(
         tmp_path,
         "sites.json",
-        conflicting_stream_profile(
-            key="site", prefix="site", n_patients=4800,
-            dt=8, seq_len=24, amplitude=2.8, prevalence=0.25,
-            angles_deg=(0.0, 90.0, 180.0),
-        ),
+        conflicting_stream_profile(n_patients=4800, **SITES3_STREAM),
     )
 
     def mean_drop(strategy):
@@ -407,11 +403,7 @@ def test_07_many_task_degradation(tmp_path):
     profile = _write_profile(
         tmp_path,
         "hospitals.json",
-        conflicting_stream_profile(
-            key="hospital", prefix="hosp", n_patients=5000,
-            dt=6, seq_len=12, amplitude=2.8, prevalence=0.30,
-            angles_deg=tuple(18.0 * j for j in range(20)),
-        ),
+        conflicting_stream_profile(n_patients=5000, **HOSPITAL20_STREAM),
     )
 
     def outcome(experiment):

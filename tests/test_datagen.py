@@ -1,6 +1,7 @@
 """Cohort synthesis, task splitting, partitioning, on-disk format."""
 
 import dataclasses
+import importlib.util
 import json
 import logging
 from pathlib import Path
@@ -313,10 +314,7 @@ def test_builtin_profiles_and_streams():
         assert len(prof.domains[key]) == count
     prof = dg.builtin_profile("hospital20")
     assert len(prof.domains["hospital"]) == 20
-    conflicting = dg.conflicting_stream_profile(
-        key="site", prefix="site", n_patients=300, dt=8,
-        seq_len=6, amplitude=2.8, prevalence=0.25, angles_deg=(0.0, 90.0, 180.0),
-    )
+    conflicting = dg.conflicting_stream_profile(n_patients=300, **dg.SITES3_STREAM)
     prof = dg.resolve_profile(json.loads(json.dumps(conflicting)))
     directions = [np.asarray(d["label_direction"]) for d in conflicting["domains"]["site"]]
     assert [d.name for d in prof.domains["site"]] == ["site00", "site01", "site02"]
@@ -328,9 +326,20 @@ def test_builtin_profiles_and_streams():
         dg.builtin_profile("hospital1")
     with pytest.raises(ConfigurationError, match="dt=4"):
         dg.conflicting_stream_profile(
-            key="site", prefix="site", n_patients=300, dt=4,
-            seq_len=6, amplitude=2.8, prevalence=0.25, angles_deg=(0.0, 180.0),
-        )
+            n_patients=300, **{**dg.SITES3_STREAM, "dt": 4, "angles_deg": (0.0, 180.0)})
+
+
+def test_benchmark_streams_are_the_datagen_presets():
+    # the benchmark keeps its own profile builders; loaded from file, only read
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for n in (240, 1000, 5000):
+        assert workloads.sites3_profile(n) == dg.conflicting_stream_profile(
+            n_patients=n, **dg.SITES3_STREAM)
+        assert workloads.hospital20_profile(n) == dg.conflicting_stream_profile(
+            n_patients=n, **dg.HOSPITAL20_STREAM)
 
 
 def test_every_builtin_task_has_both_classes():

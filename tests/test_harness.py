@@ -2,6 +2,7 @@
 determinism, reporting, sweeps, and the CLI wrapper."""
 
 import json
+import multiprocessing
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from seqcl import harness
 from seqcl.cli import main as cli_main
 from seqcl.datagen import domain_offset_vectors
-from seqcl.errors import ConfigurationError, ReportError, SeqclError
+from seqcl.errors import ConfigurationError, DataError, ReportError, SeqclError
 from seqcl.metrics import AccuracyMatrix, forgetting
 from seqcl.models import ArchitectureSpec, build_model
 from seqcl.strategies import Cumulative, build_strategy
@@ -820,13 +821,12 @@ class TestSweep:
                 profile_path, tmp_path / "sw", n_runs=1, epochs_per_task=1
             )
         )
-        manifest = harness.sweep(config, "curriculum", values=[0, 1, 2])
-        assert len(manifest["groups"]) == 3
-        assert manifest["axis"] == "curriculum"
-        for group in manifest["groups"]:
-            assert (tmp_path / "sw" / group["dir"] / "metadata.json").exists()
+        groups = harness.sweep(config, "curriculum", values=[0, 1, 2])
+        assert groups == [tmp_path / "sw" / f"curriculum_{k}" for k in range(3)]
+        for group in groups:
+            assert (group / "metadata.json").exists()
         summary = harness.report(tmp_path / "sw")
-        assert len(summary["experiments"]) == 3
+        assert [r["experiment"] for r in summary["experiments"]] == [g.name for g in groups]
 
     def test_buffer_axis_shares_seeds(self, profile_path, tmp_path):
         config = harness.config_from_dict(
@@ -835,14 +835,8 @@ class TestSweep:
                 strategy="replay",
             )
         )
-        manifest = harness.sweep(config, "buffer_budget", values=[4, 8])
-        assert [g["value"] for g in manifest["groups"]] == [4, 8]
-        metas = [
-            json.loads(
-                (tmp_path / "sw" / g["dir"] / "metadata.json").read_text()
-            )
-            for g in manifest["groups"]
-        ]
+        groups = harness.sweep(config, "buffer_budget", values=[4, 8])
+        metas = [json.loads((group / "metadata.json").read_text()) for group in groups]
         assert {m["config"]["master_seed"] for m in metas} == {5}
         assert [m["config"]["buffer_budget"] for m in metas] == [4, 8]
 
@@ -850,6 +844,62 @@ class TestSweep:
         config = harness.config_from_dict(base_config(profile_path, tmp_path))
         with pytest.raises(ConfigurationError, match="axis"):
             harness.sweep(config, "learning_rate", values=[0.1])
+
+    def test_pooled_sweep_writes_the_serial_records(self, profile_path, tmp_path, monkeypatch):
+        records = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            config = harness.config_from_dict(base_config(profile_path, out, epochs_per_task=1))
+            harness.sweep(config, "curriculum", values=[0, 1, 2])
+            records[cpus] = {path.relative_to(out).as_posix(): path.read_bytes()
+                             for path in sorted(out.glob("*/run_*.jsonl"))}
+        assert len(records[1]) == 6
+        assert records[2] == records[1]
+        assert multiprocessing.active_children() == []
+
+    def test_eleven_groups_report_in_axis_order(self, profile_path, tmp_path):
+        config = harness.config_from_dict(
+            base_config(profile_path, tmp_path / "sw", n_runs=1, epochs_per_task=1))
+        groups = harness.sweep(config, "curriculum", values=list(range(11)))
+        names = [f"curriculum_{k:02d}" for k in range(11)]
+        assert [group.name for group in groups] == names
+        assert [json.loads((group / "metadata.json").read_text())["config"]["curriculum"]
+                for group in groups] == list(range(11))
+        summary = harness.report(tmp_path / "sw")
+        assert [r["experiment"] for r in summary["experiments"]] == names
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+    def test_a_failed_group_leaves_the_others_to_finish(
+        self, profile_path, tmp_path, monkeypatch, cpus
+    ):
+        fail_curricula(monkeypatch, {1: DataError, 3: SeqclError})
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        config = harness.config_from_dict(
+            base_config(profile_path, tmp_path / "sw", n_runs=1, epochs_per_task=1))
+        with pytest.raises(DataError) as caught:
+            harness.sweep(config, "curriculum", values=[0, 1, 2, 3])
+        message = str(caught.value)
+        for k in (1, 3):
+            assert f"curriculum_{k} failed: planted failure" in message
+            assert not (tmp_path / "sw" / f"curriculum_{k}").exists()
+        for k in (0, 2):
+            assert f"curriculum_{k}" not in message
+            assert (tmp_path / "sw" / f"curriculum_{k}" / "metadata.json").exists()
+        assert multiprocessing.active_children() == []
+
+
+def fail_curricula(monkeypatch, planted):
+    """Make ``run_experiment`` raise ``planted[value]`` for each curriculum
+    value listed there; fork carries the patch into the workers."""
+    real = harness.run_experiment
+
+    def failing(config, hyperparams=None):
+        if config.curriculum in planted:
+            raise planted[config.curriculum]("planted failure")
+        return real(config, hyperparams)
+
+    monkeypatch.setattr(harness, "run_experiment", failing)
 
 
 # ---------------------------------------------------------------------------
@@ -1005,16 +1055,12 @@ class TestCli:
         ("g0/run_00.jsonl", lambda header: "not json"),
         ("g0/run_00.jsonl", b'{"trunc'),
         ("g0/run_00.jsonl", b"\xff\xff"),
-        ("sweep.json", lambda manifest: {**manifest, "groups": [{"dir": 0}]}),
-        ("sweep.json", lambda manifest: [manifest]),
     ], ids=["metadata-no-fingerprint", "metadata-run-text", "metadata-config-no-epochs",
             "metadata-not-json", "header-no-fingerprint", "header-not-json",
-            "record-truncated", "record-undecodable", "sweep-dir-int", "sweep-list"])
+            "record-truncated", "record-undecodable"])
     def test_malformed_results_file_exits_3_naming_it(self, tmp_path, capsys, name, damage):
         """``damage`` rewrites the file's first line, or is bytes appended to it."""
         write_fake_experiment(tmp_path / "sw" / "g0", [[[0.8], [0.7, 0.9]]])
-        (tmp_path / "sw" / "sweep.json").write_text(json.dumps(
-            {"axis": "curriculum", "groups": [{"dir": "g0"}], "master_seed": 0}))
         assert cli_main(["report", str(tmp_path / "sw")]) == 0
         path = tmp_path / "sw" / name
         if isinstance(damage, bytes):
@@ -1026,7 +1072,10 @@ class TestCli:
             path.write_text("".join([text + "\n", *rest]))
         capsys.readouterr()
         assert cli_main(["report", str(tmp_path / "sw")]) == 3
-        assert path.name in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert path.name in err
+        if damage == b'{"trunc':  # the appended line, after the header and five records
+            assert "line 7 is not valid JSON" in err
 
     @pytest.mark.parametrize("values", ["1.5", "0,1.5"])
     def test_wrong_typed_sweep_value_exits_2_before_any_group_runs(
@@ -1089,5 +1138,19 @@ class TestCli:
         assert cli_main(
             ["sweep", str(cfg), "--axis", "curriculum", "--values", "0,1"]
         ) == 0
-        manifest = json.loads((tmp_path / "sw" / "sweep.json").read_text())
-        assert [g["value"] for g in manifest["groups"]] == [0, 1]
+        assert [json.loads((tmp_path / "sw" / f"curriculum_{k}" / "metadata.json").read_text())
+                ["config"]["curriculum"] for k in (0, 1)] == [0, 1]
+
+    @pytest.mark.parametrize("error,code", [(DataError, 2), (SeqclError, 3)])
+    def test_a_failed_sweep_group_exits_with_its_error_code(
+        self, profile_path, tmp_path, monkeypatch, capsys, error, code
+    ):
+        fail_curricula(monkeypatch, {1: error})
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            base_config(profile_path, tmp_path / "sw", n_runs=1, epochs_per_task=1)))
+        argv = ["sweep", str(cfg), "--axis", "curriculum", "--values", "0,1,2"]
+        assert cli_main(argv) == code
+        assert "curriculum_1 failed: planted failure" in capsys.readouterr().err
+        for k in (0, 2):
+            assert (tmp_path / "sw" / f"curriculum_{k}" / "metadata.json").exists()

@@ -1,8 +1,10 @@
 """tune's candidates on forked worker processes: the pooled result equals the
 serial one, the access audit sums every worker's reads, a worker's error
-reaches the caller, and no worker outlives the call. The pool is forced by
+reaches the caller, each worker runs BLAS on one thread, and no worker
+outlives the call. The pool is forced by
 patching the usable-CPU count, so these tests run on a 1-CPU machine too."""
 
+import ctypes
 import json
 import multiprocessing
 import os
@@ -136,3 +138,26 @@ def test_a_qp_failure_in_a_worker_exits_3(tmp_path, launch):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 3, proc.stderr
     assert "dual QP failed to reach tolerance" in proc.stderr
+
+
+def test_each_worker_runs_blas_on_one_thread():
+    try:
+        from numpy._core import _multiarray_umath
+
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+        get_threads = blas.scipy_openblas_get_num_threads64_
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        pytest.skip("numpy's BLAS exports no scipy_openblas thread controls")
+    if harness._usable_cpus() < 2:
+        pytest.skip("one usable CPU: _map_units runs its units in this process")
+    get_threads.restype, get_threads.argtypes = ctypes.c_int, []
+    set_threads.restype, set_threads.argtypes = None, [ctypes.c_int]
+    before = get_threads()
+    set_threads(2)
+    try:
+        assert get_threads() == 2
+        assert harness._map_units(lambda unit: get_threads(), range(2)) == [1, 1]
+    finally:
+        set_threads(before)
+    assert multiprocessing.active_children() == []
