@@ -11,7 +11,9 @@ fingerprint hashes the configuration, which holds the absolute dataset path,
 so it differs between two checkouts of the same code.
 
 Prints, per metric, the largest absolute difference and the fraction of rows
-whose value changed, then a verdict. Exits 0 when the records are identical,
+whose value changed. When the records differ it also prints, per run file,
+the final mean balanced accuracy and the final mean forgetting on each side
+and their change, as ``report`` computes them. Then a verdict. Exits 0 when the records are identical,
 1 on any difference (a file on one side only, a different row count, a
 changed metric or a changed non-metric field) and 2 when a tree holds no
 run files or a run file cannot be read.
@@ -23,7 +25,9 @@ import sys
 from pathlib import Path
 
 from seqcl.errors import ReportError
-from seqcl.harness import read_run_file
+from seqcl.harness import final_mean_balanced_accuracy, final_mean_forgetting, read_run_file
+
+FINALS = {"balanced_accuracy": final_mean_balanced_accuracy, "forgetting": final_mean_forgetting}
 
 
 def run_files(tree):
@@ -40,16 +44,26 @@ def metric_difference(a, b):
     return abs(a - b)
 
 
+def final_values(records):
+    """{name: value} of the run's final metrics; epochs per task from the rows."""
+    if not records:
+        return dict.fromkeys(FINALS)
+    epochs = max(r["epoch"] for r in records) + 1
+    return {name: final(records, epochs) for name, final in FINALS.items()}
+
+
 def compare(parent, change):
-    """Per-metric [max |diff|, changed rows], row count and the problems found."""
+    """Per-metric [max |diff|, changed rows], row count, the problems found and
+    each paired file's (name, parent finals, change finals)."""
     left, right = run_files(parent), run_files(change)
     problems = [f"only in {side}: {name}"
                 for side, names in (("PARENT", left.keys() - right.keys()),
                                     ("CHANGE", right.keys() - left.keys()))
                 for name in sorted(names)]
-    metrics, rows = {}, 0
+    metrics, rows, finals = {}, 0, []
     for name in sorted(left.keys() & right.keys()):
         (_, a_rows), (_, b_rows) = read_run_file(left[name]), read_run_file(right[name])
+        finals.append((name, final_values(a_rows), final_values(b_rows)))
         if len(a_rows) != len(b_rows):
             problems.append(f"{name}: {len(a_rows)} rows vs {len(b_rows)}")
         for i, (a, b) in enumerate(zip(a_rows, b_rows), start=2):
@@ -62,7 +76,13 @@ def compare(parent, change):
                 entry = metrics.setdefault(key, [0.0, 0])
                 entry[0] = max(entry[0], diff)
                 entry[1] += diff != 0.0
-    return metrics, rows, problems
+    return metrics, rows, problems, finals
+
+
+def _shift(a, b):
+    if a is None or b is None:
+        return f"{a} -> {b}"
+    return f"{a:.4f} -> {b:.4f} ({b - a:+.4f})"
 
 
 def main(argv=None):
@@ -76,7 +96,7 @@ def main(argv=None):
             print(f"no */run_*.jsonl files under {tree}", file=sys.stderr)
             return 2
     try:
-        metrics, rows, problems = compare(args.parent, args.change)
+        metrics, rows, problems, finals = compare(args.parent, args.change)
     except ReportError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -90,6 +110,11 @@ def main(argv=None):
     if len(problems) > 20:
         print(f"  ... and {len(problems) - 20} more")
     different = bool(problems) or any(changed for _, changed in metrics.values())
+    if different:
+        print("final values per run, PARENT -> CHANGE (change):")
+        for name, a, b in finals:
+            print(f"  {name:28s} " + "  ".join(
+                f"{key} {_shift(a[key], b[key])}" for key in FINALS))
     print("verdict: " + ("DIFFERENT" if different else "identical"))
     return 1 if different else 0
 

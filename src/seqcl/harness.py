@@ -80,6 +80,11 @@ GENERIC_RULES = {
 
 PARTITION_SITE = 0x9A27
 
+# Bumped by every change that alters what the same config records. Version 2
+# is the proximal anchor step; results written before the field existed read
+# as version 1.
+RECORDS_VERSION = 2
+
 
 @dataclass
 class ExperimentConfig:
@@ -410,11 +415,13 @@ METADATA_RULES = {
     "fingerprint": TEXT, "runs": _RUN_ENTRIES, "config": MAPPING,
     "chosen_hyperparams": MAPPING, "class_weights": VECTOR, "library_version": TEXT,
     "defaults": MAPPING, "tasks": NONEMPTY_LIST, "excluded_tuning_tasks": FLAG,
+    "records_version": COUNT,
 }
 METADATA_REQUIRED = ("fingerprint", "config", "runs")
 
 # first line of a run file -> rule; the record lines after it are not checked
-RUN_HEADER_RULES = {"fingerprint": TEXT, "run": SIZE}
+RUN_HEADER_RULES = {"fingerprint": TEXT, "run": SIZE, "records_version": COUNT}
+RUN_HEADER_REQUIRED = ("fingerprint", "run")
 
 
 def read_run_file(path):
@@ -424,7 +431,7 @@ def read_run_file(path):
     naming the file; a bad record line is named by its line number."""
     with decoding(path, ReportError), Path(path).open() as fh:
         header = read(RUN_HEADER_RULES, json.loads(fh.readline()), str(path),
-                      RUN_HEADER_RULES, ReportError)
+                      RUN_HEADER_REQUIRED, ReportError)
         try:
             return header, [json.loads(line) for line in fh]
         except json.JSONDecodeError as err:
@@ -530,7 +537,8 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
             raise SeqclError(f"epoch accounting violated: {bad_epochs}")
 
         with path.open("w") as fh:
-            fh.write(json.dumps({"fingerprint": fingerprint, "run": run_idx}) + "\n")
+            fh.write(json.dumps({"fingerprint": fingerprint, "run": run_idx,
+                                 "records_version": RECORDS_VERSION}) + "\n")
             for record in out.records:  # str, int, float and None only
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
         run_outputs.append(out)
@@ -560,6 +568,7 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
         },
         "tasks": [p.task_name for p in final_partitions],
         "excluded_tuning_tasks": exclude_tuning_tasks,
+        "records_version": RECORDS_VERSION,
         "runs": run_meta,
     }
     (out_dir / "metadata.json").write_text(
@@ -583,6 +592,7 @@ def _read_experiment(exp_dir: Path):
                               _REPORTED_CONFIG_KEYS, ReportError)
     runs = {}
     fingerprints = {metadata["fingerprint"]}
+    versions = {metadata.setdefault("records_version", 1)}
     for entry in metadata["runs"]:
         if entry["status"] != "ok":
             continue
@@ -591,17 +601,19 @@ def _read_experiment(exp_dir: Path):
             raise ReportError(f"{exp_dir} lists run {entry['run']} as ok but has no {path.name}")
         header, runs[entry["run"]] = read_run_file(path)
         fingerprints.add(header["fingerprint"])
-    if len(fingerprints) > 1:
-        raise ReportError(
-            "mixed config fingerprints in one directory: "
-            + ", ".join(sorted(fingerprints))
-        )
+        versions.add(header.get("records_version", 1))
+    for what, seen in (("config fingerprints", fingerprints), ("records versions", versions)):
+        if len(seen) > 1:
+            raise ReportError(f"mixed {what} in one directory: "
+                              + ", ".join(map(str, sorted(seen))))
     if not runs:
         raise ReportError(f"{exp_dir} has no completed runs")
     return metadata, runs
 
 
-def _final_mean_balanced_accuracy(records, epochs_per_task):
+def final_mean_balanced_accuracy(records, epochs_per_task):
+    """The seen-task mean test balanced accuracy at the last task's final
+    epoch; None when the records hold no such row."""
     last_trained = max(r["trained_task"] for r in records)
     for row in reversed(records):
         if (row["trained_task"] == last_trained and row["eval_task"] is None
@@ -636,7 +648,7 @@ def summarize_experiment(name, metadata, runs) -> dict:
     runs: final balanced accuracy and forgetting, means with bootstrap
     confidence intervals across runs."""
     epochs = metadata["config"]["epochs_per_task"]
-    per_run = {"balanced_accuracy": _final_mean_balanced_accuracy,
+    per_run = {"balanced_accuracy": final_mean_balanced_accuracy,
                "forgetting": final_mean_forgetting}
     row = {
         "experiment": name,
@@ -703,8 +715,13 @@ def report(results_dir) -> dict:
             raise ReportError(f"{results_dir} holds no experiment results")
 
     summary_rows = []
+    versions = {}
     for exp_dir in exp_dirs:
         metadata, runs = _read_experiment(exp_dir)
+        versions.setdefault(metadata["records_version"], exp_dir)
+        if len(versions) > 1:
+            raise ReportError("records versions differ across experiments: " + ", ".join(
+                f"{d.name} has version {v}" for v, d in sorted(versions.items())))
         summary_rows.append(summarize_experiment(exp_dir.name, metadata, runs))
         series = _series_rows(runs)
         per_task = [r for r in series if r["eval_task"] is not None]

@@ -1,11 +1,11 @@
 """Continual-learning strategy plugins.
 
-Each strategy is a bundle of hooks consumed by the training loop: a penalty
-gradient, a gradient transform applied before the optimizer step, and
-task-boundary callbacks that build anchors or refill rehearsal buffers.
-Unimplemented hooks are no-ops, so ``Naive`` is literally the base class.
-EWC, online EWC and SI share one penalty representation, the quadratic
-``Anchor``.
+Each strategy is a bundle of hooks consumed by the training loop: a
+quadratic anchor that the optimizer step pulls toward, a gradient transform
+applied before that step, and task-boundary callbacks that build anchors or
+refill rehearsal buffers. Unimplemented hooks are no-ops, so ``Naive`` is
+literally the base class. EWC, online EWC and SI share one penalty
+representation, the merged quadratic ``Anchor``.
 Every gradient, the trainer's and the ones strategies take for themselves
 (Fisher rows, GEM and A-GEM references), comes from the same graph calls:
 ``forward``, then dlogits (``Graph.loss`` plus any ``batch_loss`` term),
@@ -43,29 +43,33 @@ SI_DAMPING = 1e-3  # SI's default xi in Omega = omega / (drift^2 + xi)
 
 @dataclass(frozen=True)
 class Anchor:
-    """A quadratic pull toward a stored parameter state.
+    """A quadratic pull toward stored parameter states, merged into one term.
 
-    The penalty is (1/2) * sum_i kappa_i (theta_i - centre_i)^2 and its
-    gradient ``kappa * (theta - centre)``. EWC keeps one anchor per finished
-    task with kappa = lam * F_t, online EWC one with kappa = lam * F_run, SI
-    one with kappa = (2 * lam) * Omega; each is built when its task ends.
+    One stored state ``centre`` with stiffness ``kappa`` contributes the
+    penalty (1/2) * sum_i kappa_i (theta_i - centre_i)^2. Any number of them
+    merge into ``kappa`` (their summed stiffness) and ``pull`` (the summed
+    kappa * centre), so the penalty gradient is ``kappa * theta - pull`` and
+    the memory is two vectors however many states are held. EWC adds
+    kappa = lam * F_t at every finished task, online EWC holds
+    kappa = lam * F_run and SI kappa = (2 * lam) * Omega, each at the latest
+    task end. The trainer reads ``kappa`` and ``pull`` for its proximal step;
+    ``gradient`` is the explicit form, kept as the oracle that step is checked
+    against.
     """
 
     kappa: np.ndarray
-    centre: np.ndarray
+    pull: np.ndarray
+
+    @classmethod
+    def at(cls, kappa, centre) -> "Anchor":
+        """The anchor of one stored state."""
+        return cls(kappa, kappa * centre)
+
+    def __add__(self, other) -> "Anchor":
+        return Anchor(self.kappa + other.kappa, self.pull + other.pull)
 
     def gradient(self, theta) -> np.ndarray:
-        return self.kappa * (theta - self.centre)
-
-
-def _summed_gradient(anchors, theta):
-    """The anchors' gradients summed from zeros in list order; None for none."""
-    if not anchors:
-        return None
-    grad = np.zeros_like(theta)
-    for anchor in anchors:
-        grad += anchor.gradient(theta)
-    return grad
+        return self.kappa * theta - self.pull
 
 
 def online_ewc_merge(running, fresh, decay) -> np.ndarray:
@@ -288,13 +292,16 @@ class Strategy:
 
     Hook order per task, as driven by the trainer: before_task, optional
     scratch reinit, training_data, then per batch (batch_loss,
-    penalty_gradient, transform_gradient, optimizer step, per_step_observe),
-    and after_task once the epoch budget is spent.
+    transform_gradient, the optimizer step, per_step_observe), and after_task
+    once the epoch budget is spent. The step reads ``anchor``, the merged
+    quadratic pull of EWC, online EWC and SI, once per task; None means no
+    pull.
     """
 
     kind = "naive"
     hyperparams = {}
     budget_key = None
+    anchor = None
 
     def before_task(self, model, task_idx, features, labels, rng) -> None:
         pass
@@ -310,15 +317,17 @@ class Strategy:
         return 0.0, None
 
     def penalty_gradient(self, theta):
-        """Gradient of a quadratic anchor penalty, or None when there is
-        nothing to add."""
-        return None
+        """The explicit gradient of the anchor penalty, or None without an
+        anchor: the oracle of the trainer's proximal step, which never calls
+        it. Ewc, OnlineEwc and Si bind it in their own class bodies, where
+        the benchmark's tracer finds it."""
+        return None if self.anchor is None else self.anchor.gradient(theta)
 
     def transform_gradient(self, grad, model, class_weights, rng):
         return grad
 
     def per_step_observe(self, grad, delta) -> None:
-        pass
+        """Sees each step's task gradient and the parameter change it made."""
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         pass
@@ -410,16 +419,16 @@ class Ewc(Strategy):
     def __init__(self, ewc_lambda=1.0, fisher_batch_size=64):
         self.lam = ewc_lambda
         self.fisher_batch_size = fisher_batch_size
-        self.anchors = []  # one per finished task, oldest first
+        self.anchor = None  # every finished task's pull, merged in task order
 
-    def penalty_gradient(self, theta):
-        return _summed_gradient(self.anchors, theta)
+    penalty_gradient = Strategy.penalty_gradient
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         if self.lam == 0.0:  # no anchor is ever read, so no Fisher is needed
             return
         fisher = compute_fisher(model, features, labels, self.fisher_batch_size)
-        self.anchors.append(Anchor(self.lam * fisher, model.params.values.copy()))
+        fresh = Anchor.at(self.lam * fisher, model.params.values)
+        self.anchor = fresh if self.anchor is None else self.anchor + fresh
 
 
 class OnlineEwc(Strategy):
@@ -436,19 +445,23 @@ class OnlineEwc(Strategy):
         self.running_fisher = None
         self.anchor = None
 
-    def penalty_gradient(self, theta):
-        return None if self.anchor is None else self.anchor.gradient(theta)
+    penalty_gradient = Strategy.penalty_gradient
 
     def after_task(self, model, task_idx, features, labels, rng) -> None:
         if self.lam == 0.0:  # no anchor is ever read, so no Fisher is needed
             return
         fresh = compute_fisher(model, features, labels, self.fisher_batch_size)
         self.running_fisher = online_ewc_merge(self.running_fisher, fresh, self.decay)
-        self.anchor = Anchor(self.lam * self.running_fisher, model.params.values.copy())
+        self.anchor = Anchor.at(self.lam * self.running_fisher, model.params.values)
 
 
 class Si(Strategy):
-    """Path-integral importance accumulated during training itself."""
+    """Path-integral importance accumulated during training itself.
+
+    omega integrates -g_task * delta_theta over the steps the trainer takes,
+    g_task being the gradient before the proximal pull, so the penalty's own
+    pull never counts as importance. At zero strength no anchor is built.
+    """
 
     kind = "si"
     hyperparams = {"si_lambda": NON_NEGATIVE, "damping": POSITIVE}
@@ -465,8 +478,7 @@ class Si(Strategy):
         self.task_start = model.params.values.copy()
         self.omega = model.params.zeros_like()
 
-    def penalty_gradient(self, theta):
-        return None if self.strength == 0.0 or self.anchor is None else self.anchor.gradient(theta)
+    penalty_gradient = Strategy.penalty_gradient
 
     def per_step_observe(self, grad, delta) -> None:
         si_observe(self.omega, grad, delta)
@@ -476,7 +488,8 @@ class Si(Strategy):
         if self.importance is None:
             self.importance = np.zeros_like(theta)
         self.importance += si_consolidate(self.omega, theta - self.task_start, self.damping)
-        self.anchor = Anchor((2.0 * self.strength) * self.importance, theta.copy())
+        if self.strength != 0.0:
+            self.anchor = Anchor.at((2.0 * self.strength) * self.importance, theta)
 
 
 class Lwf(Strategy):

@@ -186,6 +186,13 @@ def run_single(
     on ``eval_splits``. Exactly settings.epochs_per_task epochs are spent on
     each task no matter what the strategy does. ``n_train_tasks`` caps how
     far into the stream training goes (the tuning loop stops after two).
+
+    Each step moves the parameters by ``step = lr * g`` (``lr * v`` with
+    momentum, the velocity ``v`` running over the task gradient ``g`` only).
+    With the strategy's anchor ``(kappa, pull)`` it then takes the proximal
+    step ``theta <- (theta - step + lr * pull) / (1 + lr * kappa)``, the exact
+    minimiser of the linearised loss plus the quadratic penalty, which is
+    stable for every kappa >= 0; without one it is plain ``theta -= step``.
     """
     settings.validate()
     n_tasks = len(stream) if n_train_tasks is None else min(n_train_tasks, len(stream))
@@ -210,6 +217,10 @@ def run_single(
         train_x, train_y = strategy.training_data(task_x, task_y, task_idx)
         n = train_y.shape[0]
         velocity = None
+        anchor = strategy.anchor  # changes only at task ends
+        if anchor is not None:
+            lr_pull = settings.learning_rate * anchor.pull
+            denominator = 1.0 + settings.learning_rate * anchor.kappa
         for epoch in range(settings.epochs_per_task):
             order = shuffle_rng.permutation(n)
             for batch_idx in _batches(n, settings.batch_size, order):
@@ -223,9 +234,6 @@ def run_single(
                 if extra_dlogits is not None:
                     dlogits = dlogits + extra_dlogits
                 grad = model.graph.backward_from_dlogits(dlogits)
-                penalty_grad = strategy.penalty_gradient(model.params.values)
-                if penalty_grad is not None:
-                    grad = grad + penalty_grad
                 grad = strategy.transform_gradient(
                     grad, model, class_weights, memory_rng
                 )
@@ -236,9 +244,15 @@ def run_single(
                     step = settings.learning_rate * velocity
                 else:
                     step = settings.learning_rate * grad
-                model.params.values -= step
+                theta = model.params.values
                 if needs_observe:
-                    strategy.per_step_observe(grad, -step)
+                    before = theta.copy()
+                theta -= step
+                if anchor is not None:  # the proximal step, in place
+                    theta += lr_pull
+                    theta /= denominator
+                if needs_observe:
+                    strategy.per_step_observe(grad, theta - before)
             for row in evaluate_seen_tasks(
                 model, stream, task_idx, class_weights, splits=eval_splits
             ):

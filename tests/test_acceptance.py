@@ -302,7 +302,7 @@ def test_04_penalties_vanish_at_anchor_and_gradients_match():
 
     # kappa = scale * importance: lam * F for EWC and online EWC, 2 lam * Omega for SI
     scales = (0.7, 0.9, 2.0 * 1.3)
-    anchors = [cl.Anchor(scale * fisher, anchor.copy()) for scale in scales]
+    anchors = [cl.Anchor.at(scale * fisher, anchor.copy()) for scale in scales]
 
     def penalty(scale, theta):
         """(1/2) * sum kappa (theta - anchor)^2, with kappa = scale * fisher."""

@@ -13,7 +13,7 @@ spec.loader.exec_module(compare_records)
 
 
 def row(epoch, bacc, auroc=0.75):
-    return {"epoch": epoch, "split": "test", "eval_task": 0,
+    return {"epoch": epoch, "split": "test", "eval_task": 0, "trained_task": 0,
             "metrics": {"balanced_accuracy": bacc, "auroc": auroc}}
 
 
@@ -37,7 +37,7 @@ def test_changed_metric_reports_max_difference_and_changed_fraction(tmp_path, ca
     a = write_tree(tmp_path / "a", "f", [row(0, 0.6), row(1, 0.7), row(2, 0.8)])
     b = write_tree(tmp_path / "b", "f", [row(0, 0.6), row(1, 0.7 + 2**-40), row(2, 0.8)])
     assert compare_records.main([str(a), str(b)]) == 1
-    metrics, rows, problems = compare_records.compare(a, b)
+    metrics, rows, problems, _ = compare_records.compare(a, b)
     assert rows == 3 and problems == []
     assert metrics["balanced_accuracy"] == [pytest.approx(2**-40), 1]
     assert metrics["auroc"] == [0.0, 0]
@@ -73,3 +73,29 @@ def test_a_run_file_that_cannot_be_decoded_exits_2_naming_it(tmp_path, capsys, t
     path.write_bytes(path.read_bytes() + tail)
     assert compare_records.main([str(a), str(b)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def two_task_run(bacc_first_after_second, mean_after_second):
+    """Rows of a two-task run: test balanced accuracy per seen task and the
+    seen-task mean row, at one epoch per task."""
+    rows = []
+    for trained, seen in ((0, [0.8]), (1, [bacc_first_after_second, 0.9])):
+        rows += [{"epoch": 0, "split": "test", "eval_task": j, "trained_task": trained,
+                  "metrics": {"balanced_accuracy": v}} for j, v in enumerate(seen)]
+        mean = 0.8 if trained == 0 else mean_after_second
+        rows.append({"epoch": 0, "split": "test", "eval_task": None, "trained_task": trained,
+                     "metrics": {"balanced_accuracy": mean}})
+    return rows
+
+
+def test_differing_records_print_each_runs_final_values(tmp_path, capsys):
+    a = write_tree(tmp_path / "a", "f", two_task_run(0.6, 0.75), name="si/run_01.jsonl")
+    b = write_tree(tmp_path / "b", "f", two_task_run(0.7, 0.8), name="si/run_01.jsonl")
+    assert compare_records.main([str(a), str(b)]) == 1
+    out = capsys.readouterr().out
+    assert "si/run_01.jsonl" in out
+    # forgetting of task 0 is 0.8 - 0.6 on one side and 0.8 - 0.7 on the other
+    assert "balanced_accuracy 0.7500 -> 0.8000 (+0.0500)" in out
+    assert "forgetting 0.2000 -> 0.1000 (-0.1000)" in out
+    assert compare_records.main([str(a), str(a)]) == 0
+    assert "final values" not in capsys.readouterr().out

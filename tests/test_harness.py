@@ -14,13 +14,15 @@ from seqcl.datagen import domain_offset_vectors
 from seqcl.errors import ConfigurationError, DataError, ReportError, SeqclError
 from seqcl.metrics import AccuracyMatrix, forgetting
 from seqcl.models import ArchitectureSpec, build_model
-from seqcl.strategies import Cumulative, build_strategy
+from seqcl.strategies import Anchor, Cumulative, Strategy, build_strategy
 from seqcl.training import (
     TRAINER_RULES,
     TaskStream,
     TrainerSettings,
     evaluate_seen_tasks,
     run_single,
+    stream_rng,
+    stream_seed,
 )
 
 
@@ -366,13 +368,15 @@ class TestRunExperiment:
         assert len(results) == 2
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["fingerprint"] == harness.config_fingerprint(config)
+        assert meta["records_version"] == harness.RECORDS_VERSION
         assert meta["excluded_tuning_tasks"] is False
         assert len(meta["tasks"]) == 3
         assert all(r["status"] == "ok" for r in meta["runs"])
         assert meta["defaults"]["optimizer"] == "sgd"
         lines = (out / "run_00.jsonl").read_text().splitlines()
         header = json.loads(lines[0])
-        assert header == {"fingerprint": meta["fingerprint"], "run": 0}
+        assert header == {"fingerprint": meta["fingerprint"], "run": 0,
+                          "records_version": harness.RECORDS_VERSION}
         row = json.loads(lines[1])
         assert {"run", "trained_task", "eval_task", "epoch", "split",
                 "metrics"} <= set(row)
@@ -627,11 +631,120 @@ class TestTrainerIntegration:
 # report
 
 
+class _Pinned(Strategy):
+    """A fixed anchor from the first step on; records what it observes."""
+
+    def __init__(self, anchor):
+        self.anchor = anchor
+        self.seen = []
+
+    def per_step_observe(self, grad, delta):
+        self.seen.append((grad.copy(), delta.copy()))
+
+
+PROX_SPECS = {
+    "mlp": ArchitectureSpec(kind="mlp", n_feature_layers=1, hidden_dim=4),
+    "lstm": ArchitectureSpec(kind="lstm", n_feature_layers=1, hidden_dim=3),
+    "bilstm": ArchitectureSpec(kind="lstm", n_feature_layers=1, hidden_dim=3,
+                               bidirectional=True),
+    "cnn1d": ArchitectureSpec(kind="cnn1d", n_feature_layers=1, hidden_dim=4,
+                              kernel_size=2),
+}
+
+
+def _one_task(profile_path):
+    config = harness.config_from_dict(base_config(profile_path, "unused-out"))
+    partitions = harness.load_partitions(config)
+    return TaskStream(partitions), harness._input_dims(partitions[0])
+
+
+def _random_anchor(size, seed):
+    rng = np.random.default_rng(seed)
+    return Anchor.at(rng.uniform(0.0, 40.0, size), rng.normal(size=size))
+
+
+class TestProximalStep:
+    @pytest.mark.parametrize("kind", sorted(PROX_SPECS))
+    def test_one_step_minimises_the_linearised_loss_plus_the_penalty(
+        self, profile_path, kind
+    ):
+        # one full batch is one step from the init; the step minimises
+        # J(t) = g.t + |t - theta0|^2 / (2 lr) + (1/2) sum kappa t^2 - pull.t,
+        # so each parameter block's central difference of J vanishes there
+        stream, dims = _one_task(profile_path)
+        spec, lr = PROX_SPECS[kind], 0.3
+        build = lambda seed: build_model(spec, dims, seed)  # noqa: E731
+        theta0 = build(stream_seed(5, 0, "init")).params.values.copy()
+        anchor = _random_anchor(theta0.size, seed=len(kind))
+        strategy = _Pinned(anchor)
+        out = run_single(build, stream, strategy, (1.0, 2.0),
+                         TrainerSettings(epochs_per_task=1, batch_size=10**6,
+                                         learning_rate=lr),
+                         master_seed=5, run_idx=0, eval_splits=("test",),
+                         n_train_tasks=1)
+        (g, delta), = strategy.seen
+        theta1 = out.final_params
+        assert np.array_equal(delta, theta1 - theta0)
+
+        def objective(t):
+            return (g @ t + (t - theta0) @ (t - theta0) / (2 * lr)
+                    + 0.5 * anchor.kappa @ (t * t) - anchor.pull @ t)
+
+        model = build(0)
+        for name, start, shape in model.params.layout:
+            i = start + int(np.prod(shape)) // 2
+            up, down = theta1.copy(), theta1.copy()
+            up[i] += 1e-5
+            down[i] -= 1e-5
+            fd = (objective(up) - objective(down)) / 2e-5
+            assert abs(fd) < 1e-6 * (1.0 + abs(g[i]) + anchor.kappa[i]), name
+        # the pull moved the step off plain SGD
+        assert not np.allclose(theta1, theta0 - lr * g)
+
+    def test_momentum_velocity_runs_over_the_task_gradient_only(self, profile_path):
+        stream, dims = _one_task(profile_path)
+        spec = PROX_SPECS["mlp"]
+        settings = TrainerSettings(epochs_per_task=2, batch_size=64,
+                                   learning_rate=0.1, momentum=0.5)
+        build = lambda seed: build_model(spec, dims, seed)  # noqa: E731
+        anchor = _random_anchor(build(0).params.values.size, seed=9)
+        strategy = _Pinned(anchor)
+        out = run_single(build, stream, strategy, (1.0, 2.0), settings,
+                         master_seed=5, run_idx=0, eval_splits=("test",),
+                         n_train_tasks=1)
+
+        # by hand: v <- beta v + g, theta <- (theta - lr v + lr pull) / (1 + lr kappa)
+        model = build(stream_seed(5, 0, "init"))
+        shuffle = stream_rng(5, 0, "shuffle")
+        features, labels, _ = stream.get(0, "train")
+        theta, velocity, seen = model.params.values, 0.0, []
+        for _ in range(settings.epochs_per_task):
+            order = shuffle.permutation(labels.size)
+            for start in range(0, labels.size, settings.batch_size):
+                idx = order[start:start + settings.batch_size]
+                model.graph.forward(model.params, model.prepare_batch(features[idx]))
+                g = model.graph.backward_from_dlogits(
+                    model.graph.loss(labels[idx], (1.0, 2.0))[1])
+                velocity = 0.5 * velocity + g
+                before = theta.copy()
+                theta -= 0.1 * velocity
+                theta += 0.1 * anchor.pull
+                theta /= 1.0 + 0.1 * anchor.kappa
+                seen.append((g, theta - before))
+        assert np.array_equal(out.final_params, theta)
+        assert len(strategy.seen) == len(seen) > 2
+        for (got_g, got_delta), (want_g, want_delta) in zip(strategy.seen, seen):
+            assert np.array_equal(got_g, want_g)
+            assert np.array_equal(got_delta, want_delta)
+
+
 def write_fake_experiment(exp_dir, per_run_matrices, fingerprint="f" * 16,
-                          strategy="naive"):
-    """Minimal results directory: one epoch per task, balanced accuracy only."""
+                          strategy="naive", records_version=None):
+    """Minimal results directory: one epoch per task, balanced accuracy only;
+    without a records_version, as written before the field existed."""
     exp_dir.mkdir(parents=True, exist_ok=True)
-    meta = {
+    version = {} if records_version is None else {"records_version": records_version}
+    meta = {**version,
         "fingerprint": fingerprint,
         "config": {
             "epochs_per_task": 1,
@@ -642,7 +755,7 @@ def write_fake_experiment(exp_dir, per_run_matrices, fingerprint="f" * 16,
     }
     (exp_dir / "metadata.json").write_text(json.dumps(meta))
     for run_idx, matrix in enumerate(per_run_matrices):
-        lines = [json.dumps({"fingerprint": fingerprint, "run": run_idx})]
+        lines = [json.dumps({"fingerprint": fingerprint, "run": run_idx, **version})]
         n_tasks = len(matrix)
         for trained in range(n_tasks):
             seen = [matrix[trained][j] for j in range(trained + 1)]
@@ -721,6 +834,22 @@ class TestReport:
             harness.report(tmp_path / "exp")
         assert "a" * 16 in str(err.value)
         assert "b" * 16 in str(err.value)
+
+    def test_mixed_records_versions_rejected(self, tmp_path):
+        write_fake_experiment(tmp_path / "grp" / "old", [[[0.8], [0.7, 0.9]]])
+        write_fake_experiment(tmp_path / "grp" / "new", [[[0.8], [0.7, 0.9]]],
+                              records_version=harness.RECORDS_VERSION)
+        assert harness.report(tmp_path / "grp" / "old")["experiments"][0]["n_runs"] == 1
+        with pytest.raises(ReportError, match="records versions differ") as err:
+            harness.report(tmp_path / "grp")
+        assert "old has version 1" in str(err.value)
+        assert f"new has version {harness.RECORDS_VERSION}" in str(err.value)
+        # within one experiment: a header of another version than metadata.json
+        meta_path = tmp_path / "grp" / "new" / "metadata.json"
+        meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
+                                         "records_version": 1}))
+        with pytest.raises(ReportError, match="mixed records versions"):
+            harness.report(tmp_path / "grp" / "new")
 
     def test_report_reads_exactly_the_runs_listed_as_ok(self, tmp_path):
         exp = tmp_path / "exp"

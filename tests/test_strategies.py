@@ -132,10 +132,11 @@ def toy_task(n, seed, t=3, d=2):
     return features, labels
 
 
-def anchor_penalty(anchors, theta):
-    """Test-side oracle: sum over anchors of (1/2) * sum kappa (theta - centre)^2,
-    the value whose gradient ``penalty_gradient`` returns."""
-    return sum(0.5 * float(np.dot(a.kappa, (theta - a.centre) ** 2)) for a in anchors)
+def anchor_penalty(states, theta):
+    """Test-side oracle: sum over stored (kappa, centre) states of
+    (1/2) * sum kappa (theta - centre)^2, the value whose gradient
+    ``penalty_gradient`` returns."""
+    return sum(0.5 * float(np.dot(kappa, (theta - centre) ** 2)) for kappa, centre in states)
 
 
 def at_params(values):
@@ -159,10 +160,12 @@ def fishers(monkeypatch):
 def test_ewc_penalty_hand_value(fishers):
     s = cl.Ewc(ewc_lambda=2.0)
     fishers.append(np.array([1.0, 2.0]))
-    s.after_task(at_params([0.0, 0.0]), 0, None, None, None)
-    theta = np.array([1.0, -1.0])
+    s.after_task(at_params([0.5, 0.0]), 0, None, None, None)
+    assert np.array_equal(s.anchor.kappa, [2.0, 4.0])
+    assert np.array_equal(s.anchor.pull, [1.0, 0.0])
+    theta = np.array([1.5, -1.0])
     assert np.array_equal(s.penalty_gradient(theta), [2.0, -4.0])
-    assert anchor_penalty(s.anchors, theta) == pytest.approx(3.0, abs=1e-15)
+    assert anchor_penalty([(s.anchor.kappa, [0.5, 0.0])], theta) == pytest.approx(3.0, abs=1e-15)
 
 
 def test_ewc_penalty_zero_at_anchor_and_zero_lambda(fishers):
@@ -170,32 +173,42 @@ def test_ewc_penalty_zero_at_anchor_and_zero_lambda(fishers):
     s = cl.Ewc(ewc_lambda=5.0)
     fishers.append(np.array([1.0, 4.0, 0.5]))
     s.after_task(at_params(theta), 0, None, None, None)
-    assert anchor_penalty(s.anchors, theta) == 0.0
     assert np.array_equal(s.penalty_gradient(theta), np.zeros(3))
+    assert not np.any(np.signbit(s.penalty_gradient(theta)))
     off = cl.Ewc(ewc_lambda=0.0)
     fishers.append(np.array([1.0, 4.0, 0.5]))
     off.after_task(at_params(theta), 0, None, None, None)
-    assert off.penalty_gradient(theta + 1.0) is None
+    assert off.anchor is None and off.penalty_gradient(theta + 1.0) is None
 
 
 def test_ewc_penalty_positive_off_anchor(fishers):
     s = cl.Ewc(ewc_lambda=1.0)
     fishers.append(np.array([0.0, 1.0, 0.0]))
     s.after_task(at_params(np.zeros(3)), 0, None, None, None)
-    assert anchor_penalty(s.anchors, np.array([5.0, 0.0, 5.0])) == 0.0
-    assert anchor_penalty(s.anchors, np.array([0.0, 0.1, 0.0])) > 0.0
+    assert np.array_equal(s.anchor.pull, np.zeros(3))
+    states = [(s.anchor.kappa, np.zeros(3))]
+    assert anchor_penalty(states, np.array([5.0, 0.0, 5.0])) == 0.0
+    assert anchor_penalty(states, np.array([0.0, 0.1, 0.0])) > 0.0
+    # it pulls only where the Fisher is positive
+    assert np.array_equal(s.penalty_gradient(np.array([5.0, 0.0, 5.0])), np.zeros(3))
+    assert s.penalty_gradient(np.array([0.0, 0.1, 0.0]))[1] > 0.0
 
 
 def test_ewc_gradient_matches_fd_over_multiple_anchors(fishers):
     rng = np.random.default_rng(3)
     s = cl.Ewc(ewc_lambda=1.7)
+    states = []
     for task in range(3):
-        fishers.append(rng.random(6))
-        s.after_task(at_params(rng.normal(size=6)), task, None, None, None)
+        fisher, centre = rng.random(6), rng.normal(size=6)
+        fishers.append(fisher)
+        s.after_task(at_params(centre), task, None, None, None)
+        states.append((1.7 * fisher, centre))
     theta = rng.normal(size=6)
     analytic = s.penalty_gradient(theta)
-    fd = fd_gradient(lambda t: anchor_penalty(s.anchors, t), theta)
+    fd = fd_gradient(lambda t: anchor_penalty(states, t), theta)
     assert np.max(np.abs(analytic - fd)) < 1e-6
+    # one merged pair, however many tasks: O(P) memory
+    assert s.anchor.kappa.shape == s.anchor.pull.shape == (6,)
 
 
 
@@ -332,12 +345,13 @@ def test_online_penalty_zero_at_anchor_gradient_matches_fd(fishers):
     rng = np.random.default_rng(4)
     s = cl.OnlineEwc(ewc_lambda=2.2, decay_factor=0.8)
     anchor = rng.normal(size=5)
-    fishers.append(rng.random(5))
+    fisher = rng.random(5)
+    fishers.append(fisher)
     s.after_task(at_params(anchor), 0, None, None, None)
-    assert anchor_penalty([s.anchor], anchor) == 0.0
+    assert np.array_equal(s.penalty_gradient(anchor), np.zeros(5))
     theta = rng.normal(size=5)
     analytic = s.penalty_gradient(theta)
-    fd = fd_gradient(lambda t: anchor_penalty([s.anchor], t), theta)
+    fd = fd_gradient(lambda t: anchor_penalty([(2.2 * fisher, anchor)], t), theta)
     assert np.max(np.abs(analytic - fd)) < 1e-6
 
 
@@ -367,7 +381,7 @@ def test_si_consolidate_hand_value_and_reset():
     s.per_step_observe(np.array([2.0]), np.array([-0.1]))
     s.after_task(at_params([0.0]), 0, None, None, None)
     assert s.importance[0] == pytest.approx(0.2 / 0.011, rel=1e-12)
-    assert s.anchor.centre[0] == 0.0
+    assert s.anchor.pull[0] == 0.0  # kappa * centre, the centre being 0
     assert s.anchor.kappa[0] == 2.0 * s.importance[0]
     # the next task starts a fresh path integral; a zero one leaves the
     # consolidated importance unchanged
@@ -392,11 +406,20 @@ def test_si_penalty_no_half_and_gradient_matches_fd():
     theta = rng.normal(size=4)
     diff = theta - anchor
     expected = 0.7 * float(np.sum(s.importance * diff * diff))
-    assert anchor_penalty([s.anchor], theta) == pytest.approx(expected, rel=1e-14)
-    assert anchor_penalty([s.anchor], anchor) == 0.0
+    states = [(s.anchor.kappa, anchor)]
+    assert anchor_penalty(states, theta) == pytest.approx(expected, rel=1e-14)
+    assert np.array_equal(s.penalty_gradient(anchor), np.zeros(4))
     analytic = s.penalty_gradient(theta)
-    fd = fd_gradient(lambda t: anchor_penalty([s.anchor], t), theta)
+    fd = fd_gradient(lambda t: anchor_penalty(states, t), theta)
     assert np.max(np.abs(analytic - fd)) < 1e-6
+
+
+def test_si_at_zero_strength_builds_no_anchor():
+    s = cl.Si(si_lambda=0.0)
+    s.before_task(at_params([0.1]), 0, None, None, None)
+    s.per_step_observe(np.array([2.0]), np.array([-0.1]))
+    s.after_task(at_params([0.0]), 0, None, None, None)
+    assert s.anchor is None and s.penalty_gradient(np.array([1.0])) is None
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +445,12 @@ def bits(array):
     return np.asarray(array, dtype=np.float64).view(np.uint64)
 
 
-def negative_zeros(array):
-    return int(np.sum((array == 0.0) & np.signbit(array)))
-
-
 @pytest.mark.parametrize("n_tasks", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["ewc", "online_ewc", "si"])
 def test_anchor_gradients_equal_the_legacy_formulas_bit_for_bit(kind, n_tasks):
+    """The merged terms (kappa, pull) equal the legacy per-task formulas'
+    sums bit for bit; the explicit gradient they give equals the legacy
+    per-task gradients to rounding."""
     rng = np.random.default_rng(90 + n_tasks)
     s = cl.build_strategy(kind, {"si_lambda": 0.7} if kind == "si" else {"ewc_lambda": 0.7})
     model = small_model(seed=n_tasks)
@@ -456,21 +478,28 @@ def test_anchor_gradients_equal_the_legacy_formulas_bit_for_bit(kind, n_tasks):
         omega += task_omega / (drift * drift + cl.SI_DAMPING)
     assert np.any(fishers[-1] == 0.0) and np.any(omega < 0.0)
 
-    # theta equals the last centre on a third of the coordinates and sits
-    # below it elsewhere, so kappa * (theta - centre) holds signed zeros
-    step = -0.05 * rng.random(size)
-    step[::3] = 0.0
-    theta = centres[-1] + step
+    # (kappa, pull) bit for bit: EWC sums every task's lam * F_t and
+    # lam * F_t * centre_t in task order, the others hold the latest state
+    if kind == "ewc":
+        kappa, pull = 0.7 * fishers[0], (0.7 * fishers[0]) * centres[0]
+        for fisher, centre in zip(fishers[1:], centres[1:]):
+            kappa, pull = kappa + 0.7 * fisher, pull + (0.7 * fisher) * centre
+    else:
+        kappa = 0.7 * running if kind == "online_ewc" else (2.0 * 0.7) * omega
+        pull = kappa * centres[-1]
+    assert np.array_equal(bits(s.anchor.kappa), bits(kappa))
+    assert np.array_equal(bits(s.anchor.pull), bits(pull))
+
+    # the explicit gradient equals the per-task formulas up to rounding
+    theta = centres[-1] - 0.05 * rng.random(size)
     if kind == "ewc":
         want = legacy_ewc_gradient(theta, 0.7, centres, fishers)
-        assert negative_zeros(0.7 * fishers[-1] * (theta - centres[-1])) > 0
     elif kind == "online_ewc":
         want = legacy_online_ewc_gradient(theta, 0.7, running, centres[-1])
-        assert negative_zeros(want) > 0
     else:
         want = legacy_si_gradient(theta, 0.7, omega, centres[-1])
-        assert negative_zeros(want) > 0
-    assert np.array_equal(bits(s.penalty_gradient(theta)), bits(want))
+    scale = np.abs(kappa * theta) + np.abs(pull)
+    assert np.all(np.abs(s.penalty_gradient(theta) - want) <= 1e-14 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -932,10 +961,10 @@ def test_si_strategy_full_task_cycle():
     model.params.values -= 0.01
     s.after_task(model, 0, f, y, None)
     theta = model.params.values
-    assert np.array_equal(s.anchor.centre, theta)
-    assert anchor_penalty([s.anchor], theta) == 0.0  # at the new anchor
-    assert anchor_penalty([s.anchor], theta + 0.1) > 0.0
-    assert np.array_equal(s.penalty_gradient(theta), np.zeros_like(theta))
+    assert np.array_equal(s.anchor.pull, s.anchor.kappa * theta)
+    assert np.array_equal(s.penalty_gradient(theta), np.zeros_like(theta))  # at the new anchor
+    assert np.all(s.penalty_gradient(theta + 0.1) >= 0.0)
+    assert np.any(s.penalty_gradient(theta + 0.1) > 0.0)
 
 
 # ---------------------------------------------------------------------------
