@@ -13,10 +13,10 @@ so it differs between two checkouts of the same code.
 Prints, per metric, the largest absolute difference and the fraction of rows
 whose value changed. When the records differ it also prints, per run file,
 the final mean balanced accuracy and the final mean forgetting on each side
-and their change, as ``report`` computes them. Then a verdict. Exits 0 when the records are identical,
-1 on any difference (a file on one side only, a different row count, a
-changed metric or a changed non-metric field) and 2 when a tree holds no
-run files or a run file cannot be read.
+and their change, as ``report`` computes them. Then a verdict. Exits 0 when
+the records are identical, 1 on any difference (a file on one side only, a
+different row count, a changed metric or a changed non-metric field) and 2
+when a tree holds no run files or a run file cannot be read.
 """
 
 import argparse

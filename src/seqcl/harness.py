@@ -248,7 +248,8 @@ def _run_forked(index):
 def _map_units(fn, units) -> list:
     """``[fn(unit) for unit in units]``, in input order, on
     ``min(len(units), usable CPUs)`` forked worker processes; in this process
-    when that is one or the platform cannot fork.
+    when that is one, when the platform cannot fork, or when this process is
+    itself one of these workers, so pools never nest.
 
     ``fn`` and ``units`` reach the workers by fork, so neither is pickled:
     only the unit indices go out and the results come back. Each worker sets
@@ -257,7 +258,7 @@ def _map_units(fn, units) -> list:
     has exited before this returns or raises.
     """
     units = list(units)
-    workers = min(len(units), _usable_cpus())
+    workers = 1 if _forked_job is not None else min(len(units), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
@@ -441,16 +442,55 @@ def read_run_file(path):
                               f"{err.msg} at column {err.colno}") from err
 
 
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text ``chunks`` to ``path`` through a temp file beside it and
+    ``os.replace``: ``path`` ends up complete or untouched, and an exception
+    raised while writing leaves no temp file behind."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w") as fh:
+            fh.writelines(chunks)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def _run_one(config, hyperparams, partitions, merge_val, class_weights, run_idx):
+    """Run ``run_idx`` of an experiment, trained on a task stream of its own:
+    ``(RunOutput, seconds)``, or ``(SeqclError, seconds)`` when it fails."""
+    spec = config.architecture_spec(hyperparams)
+    t, d = _input_dims(partitions[0])
+    strategy = build_strategy(config.strategy, _strategy_hyperparams(config, hyperparams))
+    started = time.monotonic()
+    try:
+        out = run_single(
+            lambda seed: build_model(spec, (t, d), seed),
+            TaskStream(partitions, merge_val_into_train=merge_val),
+            strategy,
+            class_weights,
+            config.trainer_settings(hyperparams),
+            master_seed=config.master_seed,
+            run_idx=run_idx,
+        )
+    except SeqclError as err:
+        return err, time.monotonic() - started
+    return out, time.monotonic() - started
+
+
 def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
     """The repeated-seeds protocol behind every reported number.
 
     Streams with more than five tasks drop the two tuning tasks from the
     final phase; shorter streams keep them and fold their validation data
     into training. Class weights come from the first two tasks' training
-    labels once, before any exclusion. Each run writes one JSONL metric
-    stream; a failed run leaves a diagnostic file and the experiment moves
-    on to its remaining seeds. Either replaces what an earlier invocation
-    left for that run, and ``metadata.json``, written last, lists the runs
+    labels once, before any exclusion. The runs are independent seeded
+    units: they train through ``_map_units``, so on several CPUs in parallel,
+    each in a forked process, and the records do not depend on how many.
+    Each run writes one JSONL metric stream; a failed run leaves a
+    diagnostic file and the experiment keeps its remaining seeds. Either
+    replaces what an earlier invocation left for that run and is written
+    whole or not at all, and ``metadata.json``, written last, lists the runs
     that ``report`` reads.
     """
     config.validate()
@@ -474,8 +514,6 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
         final_partitions = partitions
         merge_val = True
 
-    spec = config.architecture_spec(hyperparams)
-    t, d = _input_dims(final_partitions[0])
     settings = config.trainer_settings(hyperparams)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -483,45 +521,33 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
 
     # metadata.json indexes the runs a report reads; it is rewritten at the end
     (out_dir / "metadata.json").unlink(missing_ok=True)
+    paths = [(out_dir / f"run_{run_idx:02d}.jsonl", out_dir / f"run_{run_idx:02d}.failed.json")
+             for run_idx in range(config.n_runs)]
+    for stale in itertools.chain.from_iterable(paths):  # a previous invocation's outcomes
+        stale.unlink(missing_ok=True)
+    outcomes = _map_units(
+        functools.partial(_run_one, config, hyperparams, final_partitions, merge_val,
+                          class_weights),
+        range(config.n_runs),
+    )
     run_outputs = []
     run_meta = []
-    for run_idx in range(config.n_runs):
-        path = out_dir / f"run_{run_idx:02d}.jsonl"
-        failed_path = out_dir / f"run_{run_idx:02d}.failed.json"
-        for stale in (path, failed_path):  # a previous invocation's outcome
-            stale.unlink(missing_ok=True)
-        stream = TaskStream(final_partitions, merge_val_into_train=merge_val)
-        strategy = build_strategy(
-            config.strategy, _strategy_hyperparams(config, hyperparams)
-        )
-        started = time.monotonic()
-        try:
-            out = run_single(
-                lambda seed: build_model(spec, (t, d), seed),
-                stream,
-                strategy,
-                class_weights,
-                settings,
-                master_seed=config.master_seed,
-                run_idx=run_idx,
-            )
-        except SeqclError as err:
-            elapsed = time.monotonic() - started
+    for run_idx, ((path, failed_path), (out, elapsed)) in enumerate(zip(paths, outcomes)):
+        if isinstance(out, SeqclError):
             diagnostic = {
                 "run": run_idx,
                 "status": "failed",
-                "error": type(err).__name__,
-                "message": str(err),
+                "error": type(out).__name__,
+                "message": str(out),
                 "wall_clock_s": elapsed,
             }
             for extra in ("residual", "iterations"):
-                if hasattr(err, extra):
-                    diagnostic[extra] = _jsonable(getattr(err, extra))
-            failed_path.write_text(json.dumps(diagnostic, indent=2, sort_keys=True))
+                if hasattr(out, extra):
+                    diagnostic[extra] = _jsonable(getattr(out, extra))
+            _write_atomic(failed_path, [json.dumps(diagnostic, indent=2, sort_keys=True)])
             run_meta.append(diagnostic)
-            log.warning("run %d failed: %s", run_idx, err)
+            log.warning("run %d failed: %s", run_idx, out)
             continue
-        elapsed = time.monotonic() - started
 
         leaked = _leakage_audit(out.consumed_patients)
         if leaked:
@@ -536,11 +562,12 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
         if bad_epochs:
             raise SeqclError(f"epoch accounting violated: {bad_epochs}")
 
-        with path.open("w") as fh:
-            fh.write(json.dumps({"fingerprint": fingerprint, "run": run_idx,
-                                 "records_version": RECORDS_VERSION}) + "\n")
-            for record in out.records:  # str, int, float and None only
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        header = {"fingerprint": fingerprint, "run": run_idx,
+                  "records_version": RECORDS_VERSION}
+        _write_atomic(path, itertools.chain(  # records hold str, int, float and None only
+            [json.dumps(header) + "\n"],
+            (json.dumps(record, sort_keys=True) + "\n" for record in out.records),
+        ))
         run_outputs.append(out)
         run_meta.append({
             "run": run_idx,
@@ -700,7 +727,9 @@ def _write_csv(path: Path, rows, fieldnames):
 
 def report(results_dir) -> dict:
     """Summary tables plus plot-ready series for one experiment directory, or
-    for each experiment subdirectory of a directory, in name order."""
+    for each experiment subdirectory of a directory, in name order. Nothing
+    is written unless every experiment reads and all share one records
+    version."""
     results_dir = Path(results_dir)
     if not results_dir.exists():
         raise ReportError(f"no such results directory: {results_dir}")
@@ -715,6 +744,7 @@ def report(results_dir) -> dict:
             raise ReportError(f"{results_dir} holds no experiment results")
 
     summary_rows = []
+    series = {}  # written once every experiment has been read
     versions = {}
     for exp_dir in exp_dirs:
         metadata, runs = _read_experiment(exp_dir)
@@ -723,13 +753,14 @@ def report(results_dir) -> dict:
             raise ReportError("records versions differ across experiments: " + ", ".join(
                 f"{d.name} has version {v}" for v, d in sorted(versions.items())))
         summary_rows.append(summarize_experiment(exp_dir.name, metadata, runs))
-        series = _series_rows(runs)
-        per_task = [r for r in series if r["eval_task"] is not None]
-        seen_avg = [r for r in series if r["eval_task"] is None]
-        fields = ["trained_task", "epoch", "eval_task", "split",
-                  "balanced_accuracy_mean", "n_runs"]
-        _write_csv(exp_dir / "trajectories.csv", per_task, fields)
-        _write_csv(exp_dir / "seen_average.csv", seen_avg, fields)
+        series[exp_dir] = _series_rows(runs)
+    fields = ["trained_task", "epoch", "eval_task", "split",
+              "balanced_accuracy_mean", "n_runs"]
+    for exp_dir, rows in series.items():
+        _write_csv(exp_dir / "trajectories.csv",
+                   [r for r in rows if r["eval_task"] is not None], fields)
+        _write_csv(exp_dir / "seen_average.csv", [r for r in rows if r["eval_task"] is None],
+                   fields)
 
     summary = {"experiments": summary_rows}
     (results_dir / "summary.json").write_text(
@@ -764,9 +795,11 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
     """Full experiment per axis value, seeds shared, each group through
     ``_map_units`` once every value and the hyperparameters are validated.
     Returns the group directories ``<output_dir>/<axis>_<k>``, ``k`` padded to
-    the width of the last index so that name order is axis order. A failed
-    group does not stop the others; then the first failure's error class is
-    raised, naming every failed group's directory."""
+    the width of the last index so that name order is axis order. An
+    ``<axis>_*`` directory an earlier sweep left that this one does not
+    write loses its ``metadata.json``, so ``report`` no longer lists it. A
+    failed group does not stop the others; then the first failure's error
+    class is raised, naming every failed group's directory."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(
             f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}"
@@ -786,6 +819,10 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
     ]
     for group_config in group_configs:
         _check_hyperparams(group_config, {} if hyperparams is None else hyperparams)
+    ours = {Path(group_config.output_dir) for group_config in group_configs}
+    for stale in base_dir.glob(f"{axis}_*/metadata.json"):
+        if stale.parent not in ours:
+            stale.unlink()
     errors = _map_units(functools.partial(_run_group, hyperparams), group_configs)
     failures = {group_config.output_dir: err
                 for group_config, err in zip(group_configs, errors) if err is not None}

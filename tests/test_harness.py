@@ -454,6 +454,27 @@ class TestRunExperiment:
         statuses = [r["status"] for r in meta["runs"]]
         assert statuses == ["failed", "ok"]
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+    def test_an_error_while_writing_records_leaves_no_run_file(
+        self, profile_path, tmp_path, monkeypatch, cpus
+    ):
+        real = harness.run_single
+
+        def unencodable(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.records.insert(3, {"metrics": {1j}})  # json cannot encode it
+            return out
+
+        monkeypatch.setattr(harness, "run_single", unencodable)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_00.jsonl").write_text("an earlier invocation's records\n")
+        config = harness.config_from_dict(base_config(profile_path, out))
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            harness.run_experiment(config)
+        assert sorted(p.name for p in out.iterdir()) == []
+
     def test_all_runs_failing_is_an_error(self, profile_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise SeqclError("planted failure")
@@ -844,6 +865,8 @@ class TestReport:
             harness.report(tmp_path / "grp")
         assert "old has version 1" in str(err.value)
         assert f"new has version {harness.RECORDS_VERSION}" in str(err.value)
+        # nothing is written for the experiment read before the refusal
+        assert not list((tmp_path / "grp" / "new").glob("*.csv"))
         # within one experiment: a header of another version than metadata.json
         meta_path = tmp_path / "grp" / "new" / "metadata.json"
         meta_path.write_text(json.dumps({**json.loads(meta_path.read_text()),
@@ -986,6 +1009,25 @@ class TestSweep:
         assert len(records[1]) == 6
         assert records[2] == records[1]
         assert multiprocessing.active_children() == []
+
+    def test_a_shorter_sweep_retires_the_groups_it_does_not_write(
+        self, profile_path, tmp_path
+    ):
+        config = harness.config_from_dict(
+            base_config(profile_path, tmp_path / "sw", n_runs=1, epochs_per_task=1))
+        harness.sweep(config, "curriculum", values=[0, 1, 2])
+        groups = harness.sweep(config, "curriculum", values=[0, 1])
+        assert [group.name for group in groups] == ["curriculum_0", "curriculum_1"]
+        summary = harness.report(tmp_path / "sw")
+        assert [r["experiment"] for r in summary["experiments"]] == [
+            "curriculum_0", "curriculum_1"]
+        # only the index goes; the retired group's records stay on disk
+        assert not (tmp_path / "sw" / "curriculum_2" / "metadata.json").exists()
+        assert (tmp_path / "sw" / "curriculum_2" / "run_00.jsonl").exists()
+        # a sweep along another axis retires none of these
+        harness.sweep(config, "buffer_budget", values=[8])
+        assert [r["experiment"] for r in harness.report(tmp_path / "sw")["experiments"]] == [
+            "buffer_budget_0", "curriculum_0", "curriculum_1"]
 
     def test_eleven_groups_report_in_axis_order(self, profile_path, tmp_path):
         config = harness.config_from_dict(

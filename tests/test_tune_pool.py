@@ -1,8 +1,9 @@
-"""tune's candidates on forked worker processes: the pooled result equals the
-serial one, the access audit sums every worker's reads, a worker's error
-reaches the caller, each worker runs BLAS on one thread, and no worker
-outlives the call. The pool is forced by
-patching the usable-CPU count, so these tests run on a 1-CPU machine too."""
+"""tune's candidates and run_experiment's runs on forked worker processes:
+the pooled result equals the serial one byte for byte, the access audit sums
+every worker's reads, a worker's error reaches the caller, each worker runs
+BLAS on one thread, a worker never starts a pool of its own, and no worker
+outlives the call. The pool is forced by patching the usable-CPU count, so
+these tests run on a 1-CPU machine too."""
 
 import ctypes
 import json
@@ -27,6 +28,7 @@ ARCHITECTURES = {
     "lstm": {"kind": "lstm", "n_layers": 1, "hidden_dim": 6},
     "cnn1d": {"kind": "cnn1d", "n_layers": 1, "hidden_dim": 6, "kernel_size": 3},
 }
+BILSTM = {"kind": "lstm", "n_layers": 1, "hidden_dim": 4, "bidirectional": True}
 
 # more candidates than the two forced workers, strategy keys included
 GRIDS = {
@@ -63,6 +65,45 @@ def test_pooled_tune_equals_serial_tune(profile_path, tmp_path, monkeypatch, arc
     _cpus(monkeypatch, 2)
     pooled = harness.tune(config, partitions=partitions)
     assert pooled == serial  # candidate order and scores, audit and fingerprint
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("strategy", ["si", "gem"])
+@pytest.mark.parametrize("arch", sorted({**ARCHITECTURES, "bilstm": BILSTM}))
+def test_pooled_runs_write_the_serial_bytes(profile_path, tmp_path, monkeypatch, arch, strategy):
+    architecture = {**ARCHITECTURES, "bilstm": BILSTM}[arch]
+    written, returned = {}, {}
+    for cpus in (1, 2):
+        _cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        config = _config(profile_path, out, strategy=strategy, architecture=architecture,
+                         n_runs=3, epochs_per_task=1)
+        returned[cpus] = harness.run_experiment(config)
+        written[cpus] = {path.name: path.read_bytes() for path in sorted(out.glob("run_*"))}
+        assert multiprocessing.active_children() == []
+    assert list(written[1]) == ["run_00.jsonl", "run_01.jsonl", "run_02.jsonl"]
+    assert written[2] == written[1]  # headers included: the worker count is not in them
+    for serial, pooled in zip(returned[1], returned[2]):
+        assert pooled.run_idx == serial.run_idx
+        assert pooled.records == serial.records
+        assert pooled.final_params.tobytes() == serial.final_params.tobytes()
+
+
+def test_a_unit_that_maps_units_runs_them_in_its_own_process(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def inner(unit):
+        return os.getpid(), multiprocessing.active_children()
+
+    def outer(unit):
+        return os.getpid(), harness._map_units(inner, range(3))
+
+    parent = os.getpid()
+    results = harness._map_units(outer, range(2))
+    assert len(results) == 2
+    for worker, inner_results in results:
+        assert worker != parent  # the outer units ran in workers
+        assert inner_results == [(worker, [])] * 3  # no grandchild was started
     assert multiprocessing.active_children() == []
 
 
