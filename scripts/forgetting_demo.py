@@ -57,8 +57,8 @@ def main():
 
     print(f"cohort profile written to {profile_path}")
 
-    def trajectory(strategy):
-        config = harness.config_from_dict({
+    def config(strategy):
+        return harness.config_from_dict({
             "data": {"profile": str(profile_path), "seed": 11},
             "domain_key": "site",
             "architecture": {"kind": "mlp", "n_layers": 1, "hidden_dim": 64,
@@ -70,12 +70,12 @@ def main():
             "n_runs": args.runs,
             "master_seed": args.master_seed,
         })
-        return first_task_trajectory(harness.run_experiment(config), args.epochs)
 
-    # the experiments are independent seeded units, trained in parallel
     strategies = ("naive", "replay", "cumulative")
+    results = harness.run_experiments([(config(strategy), None) for strategy in strategies])
     print(f"{'strategy':12s} {'peak':>6s} {'final':>6s} {'drop':>7s}   per-run drops")
-    for strategy, pairs in zip(strategies, harness._map_units(trajectory, strategies)):
+    for strategy, outs in zip(strategies, results):
+        pairs = first_task_trajectory(outs, args.epochs)
         peak = float(np.mean([p for p, _ in pairs]))
         final = float(np.mean([f for _, f in pairs]))
         per_run = " ".join(f"{p - f:+.3f}" for p, f in pairs)

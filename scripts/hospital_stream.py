@@ -42,31 +42,23 @@ def main():
     profile_path.write_text(json.dumps(build_profile(args.patients), indent=2))
     print(f"cohort profile written to {profile_path}")
 
-    jobs = (
-        ("naive", "naive", None),
-        ("ewc", "ewc", {"ewc_lambda": args.ewc_lambda}),
-        ("online_ewc", "online_ewc", {"ewc_lambda": args.ewc_lambda}),
-        ("replay", "replay", None),
-    )
-
-    def run(job):
-        name, strategy, hp = job
-        config = harness.config_from_dict({
+    def config(strategy):
+        return harness.config_from_dict({
             "data": {"profile": str(profile_path), "seed": 11},
             "domain_key": "hospital",
             "architecture": {"kind": "mlp", "n_layers": 1, "hidden_dim": 64,
                              "nonlinearity": "tanh"},
             "strategy": strategy,
-            "output_dir": str(out / name),
+            "output_dir": str(out / strategy),
             "epochs_per_task": args.epochs,
             "learning_rate": 0.1,
             "n_runs": args.runs,
             "master_seed": args.master_seed,
         })
-        harness.run_experiment(config, hyperparams=hp)
 
-    # the experiments are independent seeded units, trained in parallel
-    harness._map_units(run, jobs)
+    strength = {"ewc_lambda": args.ewc_lambda}
+    harness.run_experiments([(config("naive"), None), (config("ewc"), strength),
+                             (config("online_ewc"), strength), (config("replay"), None)])
     print(f"{'strategy':12s} {'forgetting':>10s}   95% CI")
     for row in harness.report(out)["experiments"]:
         ci = row["final_forgetting_ci"]

@@ -2,7 +2,9 @@
 
 Configuration parsing, first-two-tasks grid search, repeated seeded runs
 over the task stream, JSONL persistence, and report/plot-data generation.
-The command-line layer in ``cli`` is a thin shell over these functions.
+``tune`` trains its grid candidates, and ``run_experiments`` the runs of
+all its experiments, as the units of one worker pool per call. The
+command-line layer in ``cli`` is a thin shell over these functions.
 """
 
 import csv
@@ -248,8 +250,8 @@ def _run_forked(index):
 def _map_units(fn, units) -> list:
     """``[fn(unit) for unit in units]``, in input order, on
     ``min(len(units), usable CPUs)`` forked worker processes; in this process
-    when that is one, when the platform cannot fork, or when this process is
-    itself one of these workers, so pools never nest.
+    when that is one or when the platform cannot fork. No unit calls this
+    itself: callers flatten their work into one list of units instead.
 
     ``fn`` and ``units`` reach the workers by fork, so neither is pickled:
     only the unit indices go out and the results come back. Each worker sets
@@ -258,7 +260,7 @@ def _map_units(fn, units) -> list:
     has exited before this returns or raises.
     """
     units = list(units)
-    workers = 1 if _forked_job is not None else min(len(units), _usable_cpus())
+    workers = min(len(units), _usable_cpus())
     if workers > 1:
         import multiprocessing
 
@@ -276,25 +278,32 @@ def _map_units(fn, units) -> list:
     return [fn(unit) for unit in units]
 
 
+def _train(config, hyperparams, stream, class_weights, run_idx, **kwargs):
+    """``run_single`` of the config's model and strategy under
+    ``hyperparams`` on ``stream``, with the config's trainer settings and
+    master seed; ``kwargs`` go to ``run_single``."""
+    spec = config.architecture_spec(hyperparams)
+    t, d = _input_dims(stream.partitions[0])
+    strategy = build_strategy(config.strategy, _strategy_hyperparams(config, hyperparams))
+    return run_single(
+        lambda seed: build_model(spec, (t, d), seed),
+        stream,
+        strategy,
+        class_weights,
+        config.trainer_settings(hyperparams),
+        master_seed=config.master_seed,
+        run_idx=run_idx,
+        **kwargs,
+    )
+
+
 def _score_candidate(config, partitions, class_weights, candidate):
     """(score, access counts) of one grid candidate trained on the first two
     tasks, read through a stream of its own; the score is the mean validation
     balanced accuracy over both tasks after the second, or None."""
     stream = TaskStream(partitions, merge_val_into_train=False)
-    spec = config.architecture_spec(candidate)
-    t, d = _input_dims(partitions[0])
-    strategy = build_strategy(config.strategy, _strategy_hyperparams(config, candidate))
-    out = run_single(
-        lambda seed: build_model(spec, (t, d), seed),
-        stream,
-        strategy,
-        class_weights,
-        config.trainer_settings(candidate),
-        master_seed=config.master_seed,
-        run_idx=0,
-        eval_splits=("val",),
-        n_train_tasks=2,
-    )
+    out = _train(config, candidate, stream, class_weights, 0,
+                 eval_splits=("val",), n_train_tasks=2)
     score = None
     for row in reversed(out.records):
         if (row["trained_task"] == 1 and row["eval_task"] is None
@@ -456,46 +465,19 @@ def _write_atomic(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
-def _run_one(config, hyperparams, partitions, merge_val, class_weights, run_idx):
-    """Run ``run_idx`` of an experiment, trained on a task stream of its own:
-    ``(RunOutput, seconds)``, or ``(SeqclError, seconds)`` when it fails."""
-    spec = config.architecture_spec(hyperparams)
-    t, d = _input_dims(partitions[0])
-    strategy = build_strategy(config.strategy, _strategy_hyperparams(config, hyperparams))
-    started = time.monotonic()
+def _caught(fn, *args):
+    """``fn(*args)``, or the SeqclError it raised."""
     try:
-        out = run_single(
-            lambda seed: build_model(spec, (t, d), seed),
-            TaskStream(partitions, merge_val_into_train=merge_val),
-            strategy,
-            class_weights,
-            config.trainer_settings(hyperparams),
-            master_seed=config.master_seed,
-            run_idx=run_idx,
-        )
+        return fn(*args)
     except SeqclError as err:
-        return err, time.monotonic() - started
-    return out, time.monotonic() - started
+        return err
 
 
-def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
-    """The repeated-seeds protocol behind every reported number.
-
-    Streams with more than five tasks drop the two tuning tasks from the
-    final phase; shorter streams keep them and fold their validation data
-    into training. Class weights come from the first two tasks' training
-    labels once, before any exclusion. The runs are independent seeded
-    units: they train through ``_map_units``, so on several CPUs in parallel,
-    each in a forked process, and the records do not depend on how many.
-    Each run writes one JSONL metric stream; a failed run leaves a
-    diagnostic file and the experiment keeps its remaining seeds. Either
-    replaces what an earlier invocation left for that run and is written
-    whole or not at all, and ``metadata.json``, written last, lists the runs
-    that ``report`` reads.
-    """
-    config.validate()
-    hyperparams = {} if hyperparams is None else hyperparams
-    _check_hyperparams(config, hyperparams)
+def _prepare(config, hyperparams, partitions):
+    """One experiment made ready for its runs, as ``(config, hyperparams,
+    partitions of the final phase, whether their validation data fold into
+    training, class weights, each run's (records, diagnostic) paths)``, with
+    what an earlier invocation left in its output directory removed."""
     if partitions is None:
         partitions = load_partitions(config)
     if len(partitions) < 2:
@@ -506,30 +488,38 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
     )
     class_weights = compute_class_weights(weights_y)
 
-    exclude_tuning_tasks = len(partitions) > 5
-    if exclude_tuning_tasks:
-        final_partitions = partitions[2:]
-        merge_val = False
-    else:
-        final_partitions = partitions
-        merge_val = True
+    merge_val = len(partitions) <= 5
+    final_partitions = partitions if merge_val else partitions[2:]
 
-    settings = config.trainer_settings(hyperparams)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fingerprint = config_fingerprint(config)
-
     # metadata.json indexes the runs a report reads; it is rewritten at the end
     (out_dir / "metadata.json").unlink(missing_ok=True)
     paths = [(out_dir / f"run_{run_idx:02d}.jsonl", out_dir / f"run_{run_idx:02d}.failed.json")
              for run_idx in range(config.n_runs)]
     for stale in itertools.chain.from_iterable(paths):  # a previous invocation's outcomes
         stale.unlink(missing_ok=True)
-    outcomes = _map_units(
-        functools.partial(_run_one, config, hyperparams, final_partitions, merge_val,
-                          class_weights),
-        range(config.n_runs),
-    )
+    return config, hyperparams, final_partitions, merge_val, class_weights, paths
+
+
+def _run_one(unit):
+    """Run ``run_idx`` of a prepared experiment, for the unit ``(experiment,
+    run_idx)``, trained on a task stream of its own: ``(RunOutput, seconds)``,
+    or ``(SeqclError, seconds)`` when it fails."""
+    (config, hyperparams, partitions, merge_val, class_weights, _), run_idx = unit
+    stream = TaskStream(partitions, merge_val_into_train=merge_val)
+    started = time.monotonic()
+    out = _caught(_train, config, hyperparams, stream, class_weights, run_idx)
+    return out, time.monotonic() - started
+
+
+def _finish(config, hyperparams, final_partitions, merge_val, class_weights, paths, outcomes):
+    """Audit each run's ``(outcome, seconds)`` of a prepared experiment in run
+    order and write its file, then ``metadata.json``; the completed runs'
+    outputs."""
+    settings = config.trainer_settings(hyperparams)
+    out_dir = Path(config.output_dir)
+    fingerprint = config_fingerprint(config)
     run_outputs = []
     run_meta = []
     for run_idx, ((path, failed_path), (out, elapsed)) in enumerate(zip(paths, outcomes)):
@@ -546,7 +536,7 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
                     diagnostic[extra] = _jsonable(getattr(out, extra))
             _write_atomic(failed_path, [json.dumps(diagnostic, indent=2, sort_keys=True)])
             run_meta.append(diagnostic)
-            log.warning("run %d failed: %s", run_idx, out)
+            log.warning("%s run %d failed: %s", out_dir, run_idx, out)
             continue
 
         leaked = _leakage_audit(out.consumed_patients)
@@ -594,7 +584,7 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
             "note": "optimizer and learning rate are stand-ins; no source states them",
         },
         "tasks": [p.task_name for p in final_partitions],
-        "excluded_tuning_tasks": exclude_tuning_tasks,
+        "excluded_tuning_tasks": not merge_val,
         "records_version": RECORDS_VERSION,
         "runs": run_meta,
     }
@@ -604,6 +594,62 @@ def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
     if not run_outputs:
         raise SeqclError("every run failed; see diagnostic files")
     return run_outputs
+
+
+def run_experiments(experiments, partitions=None) -> list:
+    """The repeated-seeds protocol behind every reported number, for each
+    ``(config, hyperparams)`` pair of ``experiments`` (``None``
+    hyperparameters read as ``{}``), each on ``partitions`` when given, else
+    on its config's data; returns each experiment's run outputs, in order.
+
+    Every config and its hyperparameters are checked before any partition
+    loads. Each experiment is then prepared here: streams with more than five
+    tasks drop the two tuning tasks from the final phase; shorter streams keep
+    them and fold their validation data into training. Class weights come
+    from the first two tasks' training labels once, before any exclusion.
+    The runs of every experiment are independent seeded units, and all of
+    them train through one ``_map_units`` call, so on several CPUs in
+    parallel, each in a forked process; the records do not depend on how
+    many. Each run writes one JSONL metric stream; a failed run leaves a
+    diagnostic file and the experiment keeps its remaining seeds. Either
+    replaces what an earlier invocation left for that run and is written
+    whole or not at all, and ``metadata.json``, written last, lists the runs
+    that ``report`` reads.
+
+    A failed experiment does not stop the others. Once all have ended, the
+    first failure's error class is raised; of several experiments, it names
+    every failed one's output directory.
+    """
+    experiments = [(config, {} if hyperparams is None else hyperparams)
+                   for config, hyperparams in experiments]
+    for config, hyperparams in experiments:
+        config.validate()
+        _check_hyperparams(config, hyperparams)
+    prepared = [_caught(_prepare, config, hyperparams, partitions)
+                for config, hyperparams in experiments]
+    units = [(experiment, run_idx) for experiment in prepared
+             if not isinstance(experiment, SeqclError)
+             for run_idx in range(experiment[0].n_runs)]
+    outcomes = iter(_map_units(_run_one, units))
+    results = []
+    for experiment in prepared:
+        if not isinstance(experiment, SeqclError):
+            runs = list(itertools.islice(outcomes, experiment[0].n_runs))
+            experiment = _caught(_finish, *experiment, runs)
+        results.append(experiment)
+    failures = [(config.output_dir, result) for (config, _), result in zip(experiments, results)
+                if isinstance(result, SeqclError)]
+    if failures:  # the first failure's class keeps its exit code in the CLI
+        first = failures[0][1]
+        if len(experiments) > 1:
+            first.args = ("; ".join(f"experiment {d} failed: {err}" for d, err in failures),)
+        raise first
+    return results
+
+
+def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
+    """``run_experiments`` for one experiment: its run outputs, or its error."""
+    return run_experiments([(config, hyperparams)], partitions)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -783,23 +829,14 @@ _DEFAULT_SWEEP_VALUES = {
     "curriculum": [0, 1, 2],
 }
 
-def _run_group(hyperparams, group_config):
-    """One sweep group's experiment; its SeqclError is returned, not raised."""
-    try:
-        run_experiment(group_config, hyperparams)
-    except SeqclError as err:
-        return err
-
-
 def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
-    """Full experiment per axis value, seeds shared, each group through
-    ``_map_units`` once every value and the hyperparameters are validated.
-    Returns the group directories ``<output_dir>/<axis>_<k>``, ``k`` padded to
-    the width of the last index so that name order is axis order. An
-    ``<axis>_*`` directory an earlier sweep left that this one does not
-    write loses its ``metadata.json``, so ``report`` no longer lists it. A
-    failed group does not stop the others; then the first failure's error
-    class is raised, naming every failed group's directory."""
+    """Full experiment per axis value, seeds shared, every group one
+    experiment of a single ``run_experiments`` call, so a failed group does
+    not stop the others. Returns the group directories
+    ``<output_dir>/<axis>_<k>``, ``k`` padded to the width of the last index
+    so that name order is axis order. An ``<axis>_*`` directory an earlier
+    sweep left that this one does not write loses its ``metadata.json``, so
+    ``report`` no longer lists it."""
     if axis not in SWEEP_AXES:
         raise ConfigurationError(
             f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}"
@@ -817,17 +854,9 @@ def sweep(config: ExperimentConfig, axis: str, values=None, hyperparams=None):
         })
         for position, value in enumerate(values)
     ]
-    for group_config in group_configs:
-        _check_hyperparams(group_config, {} if hyperparams is None else hyperparams)
-    ours = {Path(group_config.output_dir) for group_config in group_configs}
+    groups = [Path(group_config.output_dir) for group_config in group_configs]
     for stale in base_dir.glob(f"{axis}_*/metadata.json"):
-        if stale.parent not in ours:
+        if stale.parent not in groups:
             stale.unlink()
-    errors = _map_units(functools.partial(_run_group, hyperparams), group_configs)
-    failures = {group_config.output_dir: err
-                for group_config, err in zip(group_configs, errors) if err is not None}
-    if failures:  # the first failure's class keeps its exit code in the CLI
-        first = next(iter(failures.values()))
-        first.args = ("; ".join(f"group {d} failed: {err}" for d, err in failures.items()),)
-        raise first
-    return [Path(group_config.output_dir) for group_config in group_configs]
+    run_experiments([(group_config, hyperparams) for group_config in group_configs])
+    return groups

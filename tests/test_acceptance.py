@@ -367,15 +367,12 @@ def test_06_forgetting_demonstration(tmp_path):
         conflicting_stream_profile(n_patients=4800, **SITES3_STREAM),
     )
 
-    def mean_drop(strategy):
-        config = _experiment_config(profile, "site", strategy,
-                                    tmp_path / strategy)
-        outs = harness.run_experiment(config)
-        return float(np.mean([_task_drop(o.records, 0, 2, 40) for o in outs]))
-
-    # the three experiments are independent seeded units
     strategies = ("naive", "replay", "cumulative")
-    drops = dict(zip(strategies, harness._map_units(mean_drop, strategies)))
+    results = harness.run_experiments(
+        [(_experiment_config(profile, "site", strategy, tmp_path / strategy), None)
+         for strategy in strategies])
+    drops = {strategy: float(np.mean([_task_drop(o.records, 0, 2, 40) for o in outs]))
+             for strategy, outs in zip(strategies, results)}
     elapsed = time.monotonic() - t0
     ok = (
         drops["naive"] >= 0.10
@@ -406,22 +403,14 @@ def test_07_many_task_degradation(tmp_path):
         conflicting_stream_profile(n_patients=5000, **HOSPITAL20_STREAM),
     )
 
-    def outcome(experiment):
-        name, strategy, hp = experiment
-        config = _experiment_config(profile, "hospital", strategy,
-                                    tmp_path / name)
-        outs = harness.run_experiment(config, hyperparams=hp)
+    experiments = {"naive": None, "ewc": {"ewc_lambda": 10.0}, "replay": None}
+    results = harness.run_experiments(
+        [(_experiment_config(profile, "hospital", strategy, tmp_path / strategy), hp)
+         for strategy, hp in experiments.items()])
+    outcomes = {}
+    for strategy, outs in zip(experiments, results):
         values = [harness.final_mean_forgetting(o.records, 40) for o in outs]
-        return float(np.mean(values)), bootstrap_ci(values)
-
-    # the three experiments are independent seeded units
-    experiments = (
-        ("naive", "naive", None),
-        ("ewc", "ewc", {"ewc_lambda": 10.0}),
-        ("replay", "replay", None),
-    )
-    outcomes = {experiment[0]: result for experiment, result in zip(
-        experiments, harness._map_units(outcome, experiments))}
+        outcomes[strategy] = float(np.mean(values)), bootstrap_ci(values)
     elapsed = time.monotonic() - t0
     naive_ci = outcomes["naive"][1]
     ewc_ci = outcomes["ewc"][1]

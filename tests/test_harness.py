@@ -11,7 +11,9 @@ import pytest
 from seqcl import harness
 from seqcl.cli import main as cli_main
 from seqcl.datagen import domain_offset_vectors
-from seqcl.errors import ConfigurationError, DataError, ReportError, SeqclError
+from seqcl.errors import (
+    ConfigurationError, DataError, DataFormatError, ReportError, SeqclError,
+)
 from seqcl.metrics import AccuracyMatrix, forgetting
 from seqcl.models import ArchitectureSpec, build_model
 from seqcl.strategies import Anchor, Cumulative, Strategy, build_strategy
@@ -1061,16 +1063,88 @@ class TestSweep:
 
 
 def fail_curricula(monkeypatch, planted):
-    """Make ``run_experiment`` raise ``planted[value]`` for each curriculum
-    value listed there; fork carries the patch into the workers."""
-    real = harness.run_experiment
+    """Make loading the partitions of each curriculum value listed in
+    ``planted`` raise ``planted[value]``: every experiment loads its
+    partitions while it is prepared, before its output directory exists."""
+    real = harness.load_partitions
 
-    def failing(config, hyperparams=None):
+    def failing(config):
         if config.curriculum in planted:
             raise planted[config.curriculum]("planted failure")
-        return real(config, hyperparams)
+        return real(config)
 
-    monkeypatch.setattr(harness, "run_experiment", failing)
+    monkeypatch.setattr(harness, "load_partitions", failing)
+
+
+# ---------------------------------------------------------------------------
+# run_experiments
+
+
+class TestRunExperiments:
+    def test_a_sweep_hands_every_run_of_every_group_to_one_pool(
+        self, profile_path, tmp_path, monkeypatch
+    ):
+        calls = []
+        real = harness._map_units
+
+        def spy(fn, units):
+            units = list(units)
+            calls.append(len(units))
+            return real(fn, units)
+
+        monkeypatch.setattr(harness, "_map_units", spy)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        config = harness.config_from_dict(
+            base_config(profile_path, tmp_path / "sw", epochs_per_task=1))
+        groups = harness.sweep(config, "curriculum", values=[0, 1, 2])
+        assert calls == [6]  # 3 groups x 2 runs
+        assert multiprocessing.active_children() == []
+
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 1)
+        for value, group in enumerate(groups):
+            alone = tmp_path / "alone" / group.name
+            harness.run_experiment(harness.config_from_dict(
+                base_config(profile_path, alone, epochs_per_task=1, curriculum=value)))
+            written = {path.name: path.read_bytes() for path in sorted(group.glob("run_*"))}
+            assert list(written) == ["run_00.jsonl", "run_01.jsonl"]
+            assert written == {path.name: path.read_bytes()
+                               for path in sorted(alone.glob("run_*"))}
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+    def test_an_experiment_that_fails_does_not_stop_the_others(
+        self, profile_path, tmp_path, monkeypatch, cpus
+    ):
+        def failing(build_model_fn, stream, strategy, class_weights, settings, **kwargs):
+            if settings.learning_rate == 0.2:
+                raise SeqclError("planted failure")
+            return run_single(build_model_fn, stream, strategy, class_weights, settings,
+                              **kwargs)
+
+        monkeypatch.setattr(harness, "run_single", failing)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        missing = base_config(profile_path, tmp_path / "missing", epochs_per_task=1)
+        missing["data"] = {"path": str(tmp_path / "no_such_dataset")}
+        experiments = [
+            (base_config(profile_path, tmp_path / "first", epochs_per_task=1), None),
+            (missing, None),  # fails while it is prepared
+            (base_config(profile_path, tmp_path / "runs", epochs_per_task=1),
+             {"learning_rate": 0.2}),  # every run fails
+            (base_config(profile_path, tmp_path / "last", epochs_per_task=1), {}),
+        ]
+        with pytest.raises(DataFormatError) as caught:  # the first failure's class
+            harness.run_experiments(
+                [(harness.config_from_dict(raw), hp) for raw, hp in experiments])
+        message = str(caught.value)
+        assert f"{tmp_path / 'missing'} failed: cannot read" in message
+        assert f"{tmp_path / 'runs'} failed: every run failed" in message
+        for name in ("first", "last"):
+            assert f"{tmp_path / name} failed" not in message
+        assert not (tmp_path / "missing").exists()
+        for name, statuses in (("first", ["ok", "ok"]), ("runs", ["failed", "failed"]),
+                               ("last", ["ok", "ok"])):
+            metadata = json.loads((tmp_path / name / "metadata.json").read_text())
+            assert [run["status"] for run in metadata["runs"]] == statuses
+        assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,8 @@
 """tune's candidates and run_experiment's runs on forked worker processes:
 the pooled result equals the serial one byte for byte, the access audit sums
 every worker's reads, a worker's error reaches the caller, each worker runs
-BLAS on one thread, a worker never starts a pool of its own, and no worker
-outlives the call. The pool is forced by patching the usable-CPU count, so
-these tests run on a 1-CPU machine too."""
+BLAS on one thread, and no worker outlives the call. The pool is forced by
+patching the usable-CPU count, so these tests run on a 1-CPU machine too."""
 
 import ctypes
 import json
@@ -87,24 +86,6 @@ def test_pooled_runs_write_the_serial_bytes(profile_path, tmp_path, monkeypatch,
         assert pooled.run_idx == serial.run_idx
         assert pooled.records == serial.records
         assert pooled.final_params.tobytes() == serial.final_params.tobytes()
-
-
-def test_a_unit_that_maps_units_runs_them_in_its_own_process(monkeypatch):
-    _cpus(monkeypatch, 2)
-
-    def inner(unit):
-        return os.getpid(), multiprocessing.active_children()
-
-    def outer(unit):
-        return os.getpid(), harness._map_units(inner, range(3))
-
-    parent = os.getpid()
-    results = harness._map_units(outer, range(2))
-    assert len(results) == 2
-    for worker, inner_results in results:
-        assert worker != parent  # the outer units ran in workers
-        assert inner_results == [(worker, [])] * 3  # no grandchild was started
-    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
