@@ -25,12 +25,13 @@ def build_profile(n_patients):
     return conflicting_stream_profile(n_patients=n_patients, **SITES3_STREAM)
 
 
-def first_task_trajectory(outs, epochs):
-    """Per run, the first task's peak test balanced accuracy while it trains
-    and its final one after the last task."""
+def first_task_trajectory(exp_dir, run_indices, epochs):
+    """Per run, read from its run file, the first task's peak test balanced
+    accuracy while it trains and its final one after the last task."""
     pairs = []
-    for out in outs:
-        first = [r for r in out.records if r["eval_task"] == 0 and r["split"] == "test"]
+    for run_idx in run_indices:
+        _, records = harness.read_run_file(exp_dir / f"run_{run_idx:02d}.jsonl")
+        first = [r for r in records if r["eval_task"] == 0 and r["split"] == "test"]
         peak = max(r["metrics"]["balanced_accuracy"] for r in first if r["trained_task"] == 0)
         final = next(r["metrics"]["balanced_accuracy"] for r in first
                      if r["trained_task"] == 2 and r["epoch"] == epochs - 1)
@@ -74,8 +75,8 @@ def main():
     strategies = ("naive", "replay", "cumulative")
     results = harness.run_experiments([(config(strategy), None) for strategy in strategies])
     print(f"{'strategy':12s} {'peak':>6s} {'final':>6s} {'drop':>7s}   per-run drops")
-    for strategy, outs in zip(strategies, results):
-        pairs = first_task_trajectory(outs, args.epochs)
+    for strategy, completed in zip(strategies, results):
+        pairs = first_task_trajectory(out / strategy, completed, args.epochs)
         peak = float(np.mean([p for p, _ in pairs]))
         final = float(np.mean([f for _, f in pairs]))
         per_run = " ".join(f"{p - f:+.3f}" for p, f in pairs)

@@ -17,7 +17,7 @@ from .harness import (
     config_from_file,
     read_tune_result,
     report,
-    run_experiment,
+    run_experiments,
     sweep,
     tune,
     write_tune_result,
@@ -66,8 +66,8 @@ def _cmd_run(args):
     if args.hyperparams is None and tune_path.exists():  # an explicit file wins, {} too
         hyperparams = read_tune_result(tune_path)["chosen"]
         print(f"using tuned hyperparameters from {tune_path}")
-    outputs = run_experiment(config, hyperparams)
-    print(f"{len(outputs)} of {config.n_runs} runs completed; "
+    completed = run_experiments([(config, hyperparams)])[0]
+    print(f"{len(completed)} of {config.n_runs} runs completed; "
           f"results in {config.output_dir}")
 
 

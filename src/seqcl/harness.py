@@ -3,10 +3,12 @@
 Configuration parsing, first-two-tasks grid search, repeated seeded runs
 over the task stream, JSONL persistence, and report/plot-data generation.
 ``tune`` trains its grid candidates, and ``run_experiments`` the runs of
-all its experiments, as the units of one worker pool per call. The
+all its experiments, as the units of one worker pool per call; a run's
+unit writes its own run file, the one channel its records take. The
 command-line layer in ``cli`` is a thin shell over these functions.
 """
 
+import collections
 import csv
 import ctypes
 import functools
@@ -45,6 +47,7 @@ from .rules import (
 from .strategies import SI_DAMPING, STRATEGIES, build_strategy
 from .training import (
     TRAINER_RULES,
+    RunOutput,
     TaskStream,
     TrainerSettings,
     compute_class_weights,
@@ -199,6 +202,12 @@ def load_partitions(config: ExperimentConfig):
     return partitions
 
 
+def _class_weights(partitions) -> tuple:
+    """Class weights from the first two tasks' training labels, unmerged."""
+    return compute_class_weights(
+        np.concatenate([partitions[0].train.labels, partitions[1].train.labels]))
+
+
 def _strategy_hyperparams(config: ExperimentConfig, chosen: dict) -> dict:
     """Strategy-constructor kwargs: tuned values plus the buffer-budget default."""
     cls = STRATEGIES[config.strategy]
@@ -304,12 +313,7 @@ def _score_candidate(config, partitions, class_weights, candidate):
     stream = TaskStream(partitions, merge_val_into_train=False)
     out = _train(config, candidate, stream, class_weights, 0,
                  eval_splits=("val",), n_train_tasks=2)
-    score = None
-    for row in reversed(out.records):
-        if (row["trained_task"] == 1 and row["eval_task"] is None
-                and row["split"] == "val"):
-            score = row["metrics"]["balanced_accuracy"]
-            break
+    score = final_mean_balanced_accuracy(out.records, config.epochs_per_task, split="val")
     return score, stream.access_counts
 
 
@@ -332,11 +336,7 @@ def tune(config: ExperimentConfig, partitions=None):
         partitions = load_partitions(config)
     if len(partitions) < 2:
         raise ConfigurationError("tuning needs at least two tasks")
-    stream = TaskStream(partitions, merge_val_into_train=False)
-
-    _, train0_y, _ = stream.get(0, "train")
-    _, train1_y, _ = stream.get(1, "train")
-    class_weights = compute_class_weights(np.concatenate([train0_y, train1_y]))
+    class_weights = _class_weights(partitions)
 
     keys = sorted(config.grid)
     candidates = [
@@ -347,16 +347,16 @@ def tune(config: ExperimentConfig, partitions=None):
         functools.partial(_score_candidate, config, partitions, class_weights), candidates
     )
     scored = []
+    accesses = collections.Counter()
     for candidate, (score, access_counts) in zip(candidates, outcomes):
         scored.append({"hyperparams": candidate, "score": score})
-        for key, count in access_counts.items():
-            stream.access_counts[key] = stream.access_counts.get(key, 0) + count
+        accesses.update(access_counts)
 
     def sort_key(entry):
         return -1.0 if entry["score"] is None else entry["score"]
 
     best = max(scored, key=sort_key)
-    audit = stream.accesses_at_or_beyond(2)
+    audit = sum(count for (task_idx, _), count in accesses.items() if task_idx >= 2)
     if audit != 0:
         raise SeqclError(f"tuning touched {audit} partitions beyond the first two tasks")
     return {
@@ -404,14 +404,20 @@ def _jsonable(value):
     return value
 
 
-def _leakage_audit(consumed) -> list:
-    """Patient ids seen in both a consumed train and a consumed test split."""
-    union_train = set()
-    union_test = set()
-    for entry in consumed:
-        union_train |= entry["train"]
-        union_test |= entry["test"]
-    return sorted(union_train & union_test)
+def _leakage_audit(partitions, merge_val) -> None:
+    """Raise DataError when a patient id is in both a training split of
+    ``partitions`` (with its validation split when ``merge_val`` folds that
+    into training) and a test split."""
+    train = [p.train.patient_ids for p in partitions]
+    if merge_val:
+        train += [p.val.patient_ids for p in partitions if p.val is not None]
+    leaked = np.intersect1d(np.concatenate(train),
+                            np.concatenate([p.test.patient_ids for p in partitions]))
+    if leaked.size:
+        raise DataError(
+            f"patient ids {leaked[:5].tolist()} appear in both consumed train and "
+            f"test partitions"
+        )
 
 
 # metadata.json key -> rule; ``report`` reads the fingerprint, the runs and the
@@ -473,102 +479,80 @@ def _caught(fn, *args):
         return err
 
 
+def _run_paths(out_dir: Path, run_idx: int) -> tuple:
+    """(records file, diagnostic file) of run ``run_idx`` in ``out_dir``."""
+    return out_dir / f"run_{run_idx:02d}.jsonl", out_dir / f"run_{run_idx:02d}.failed.json"
+
+
 def _prepare(config, hyperparams, partitions):
     """One experiment made ready for its runs, as ``(config, hyperparams,
     partitions of the final phase, whether their validation data fold into
-    training, class weights, each run's (records, diagnostic) paths)``, with
-    what an earlier invocation left in its output directory removed."""
+    training, class weights)``: its partitions pass the leakage audit, and
+    what an earlier invocation left in its output directory is removed."""
     if partitions is None:
         partitions = load_partitions(config)
     if len(partitions) < 2:
         raise ConfigurationError("the protocol needs at least two tasks")
-
-    weights_y = np.concatenate(
-        [partitions[0].train.labels, partitions[1].train.labels]
-    )
-    class_weights = compute_class_weights(weights_y)
-
+    class_weights = _class_weights(partitions)
     merge_val = len(partitions) <= 5
     final_partitions = partitions if merge_val else partitions[2:]
+    _leakage_audit(final_partitions, merge_val)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     # metadata.json indexes the runs a report reads; it is rewritten at the end
     (out_dir / "metadata.json").unlink(missing_ok=True)
-    paths = [(out_dir / f"run_{run_idx:02d}.jsonl", out_dir / f"run_{run_idx:02d}.failed.json")
-             for run_idx in range(config.n_runs)]
-    for stale in itertools.chain.from_iterable(paths):  # a previous invocation's outcomes
-        stale.unlink(missing_ok=True)
-    return config, hyperparams, final_partitions, merge_val, class_weights, paths
+    for run_idx in range(config.n_runs):  # a previous invocation's outcomes
+        for stale in _run_paths(out_dir, run_idx):
+            stale.unlink(missing_ok=True)
+    return config, hyperparams, final_partitions, merge_val, class_weights
 
 
 def _run_one(unit):
-    """Run ``run_idx`` of a prepared experiment, for the unit ``(experiment,
-    run_idx)``, trained on a task stream of its own: ``(RunOutput, seconds)``,
-    or ``(SeqclError, seconds)`` when it fails."""
-    (config, hyperparams, partitions, merge_val, class_weights, _), run_idx = unit
+    """The whole life of run ``run_idx`` of a prepared experiment, for the
+    unit ``(experiment, run_idx)``, in the process that trains it: trained on
+    a task stream of its own, its epoch count checked, its records or its
+    diagnostic written to its run file. Returns ``(metadata.json entry, final
+    parameters)``, the parameters None for a failed run, or the SeqclError of
+    a broken epoch count."""
+    (config, hyperparams, partitions, merge_val, class_weights), run_idx = unit
+    path, failed_path = _run_paths(Path(config.output_dir), run_idx)
     stream = TaskStream(partitions, merge_val_into_train=merge_val)
     started = time.monotonic()
     out = _caught(_train, config, hyperparams, stream, class_weights, run_idx)
-    return out, time.monotonic() - started
+    entry = {"run": run_idx, "wall_clock_s": time.monotonic() - started}
+    if isinstance(out, SeqclError):
+        entry.update(status="failed", error=type(out).__name__, message=str(out))
+        for extra in ("residual", "iterations"):
+            if hasattr(out, extra):
+                entry[extra] = _jsonable(getattr(out, extra))
+        _write_atomic(failed_path, [json.dumps(entry, indent=2, sort_keys=True)])
+        log.warning("%s run %d failed: %s", config.output_dir, run_idx, out)
+        return entry, None
+
+    bad_epochs = {task: n for task, n in out.epochs_run.items() if n != config.epochs_per_task}
+    if bad_epochs:
+        return SeqclError(f"epoch accounting violated: {bad_epochs}")
+    header = {"fingerprint": config_fingerprint(config), "run": run_idx,
+              "records_version": RECORDS_VERSION}
+    _write_atomic(path, itertools.chain(  # records hold str, int, float and None only
+        [json.dumps(header) + "\n"],
+        (json.dumps(record, sort_keys=True) + "\n" for record in out.records),
+    ))
+    entry.update(status="ok", leakage_intersection=[], epochs_per_task_ok=True)
+    return entry, out.final_params
 
 
-def _finish(config, hyperparams, final_partitions, merge_val, class_weights, paths, outcomes):
-    """Audit each run's ``(outcome, seconds)`` of a prepared experiment in run
-    order and write its file, then ``metadata.json``; the completed runs'
-    outputs."""
+def _finish(config, hyperparams, final_partitions, merge_val, class_weights, outcomes):
+    """Write ``metadata.json`` of a prepared experiment from its runs'
+    ``_run_one`` outcomes, in run order; the final parameters of its
+    completed runs, by run index."""
+    for outcome in outcomes:
+        if isinstance(outcome, SeqclError):
+            raise outcome
     settings = config.trainer_settings(hyperparams)
-    out_dir = Path(config.output_dir)
-    fingerprint = config_fingerprint(config)
-    run_outputs = []
-    run_meta = []
-    for run_idx, ((path, failed_path), (out, elapsed)) in enumerate(zip(paths, outcomes)):
-        if isinstance(out, SeqclError):
-            diagnostic = {
-                "run": run_idx,
-                "status": "failed",
-                "error": type(out).__name__,
-                "message": str(out),
-                "wall_clock_s": elapsed,
-            }
-            for extra in ("residual", "iterations"):
-                if hasattr(out, extra):
-                    diagnostic[extra] = _jsonable(getattr(out, extra))
-            _write_atomic(failed_path, [json.dumps(diagnostic, indent=2, sort_keys=True)])
-            run_meta.append(diagnostic)
-            log.warning("%s run %d failed: %s", out_dir, run_idx, out)
-            continue
-
-        leaked = _leakage_audit(out.consumed_patients)
-        if leaked:
-            raise DataError(
-                f"patient ids {leaked[:5]} appear in both consumed train and "
-                f"test partitions"
-            )
-        bad_epochs = {
-            task: n for task, n in out.epochs_run.items()
-            if n != settings.epochs_per_task
-        }
-        if bad_epochs:
-            raise SeqclError(f"epoch accounting violated: {bad_epochs}")
-
-        header = {"fingerprint": fingerprint, "run": run_idx,
-                  "records_version": RECORDS_VERSION}
-        _write_atomic(path, itertools.chain(  # records hold str, int, float and None only
-            [json.dumps(header) + "\n"],
-            (json.dumps(record, sort_keys=True) + "\n" for record in out.records),
-        ))
-        run_outputs.append(out)
-        run_meta.append({
-            "run": run_idx,
-            "status": "ok",
-            "wall_clock_s": elapsed,
-            "leakage_intersection": [],
-            "epochs_per_task_ok": True,
-        })
-
     metadata = {
-        "fingerprint": fingerprint,
+        "fingerprint": config_fingerprint(config),
         "config": asdict(config),
         "chosen_hyperparams": hyperparams,
         "class_weights": list(class_weights),
@@ -586,35 +570,40 @@ def _finish(config, hyperparams, final_partitions, merge_val, class_weights, pat
         "tasks": [p.task_name for p in final_partitions],
         "excluded_tuning_tasks": not merge_val,
         "records_version": RECORDS_VERSION,
-        "runs": run_meta,
+        "runs": [entry for entry, _ in outcomes],
     }
-    (out_dir / "metadata.json").write_text(
+    (Path(config.output_dir) / "metadata.json").write_text(
         json.dumps(_jsonable(metadata), indent=2, sort_keys=True)
     )
-    if not run_outputs:
+    completed = {entry["run"]: params for entry, params in outcomes if entry["status"] == "ok"}
+    if not completed:
         raise SeqclError("every run failed; see diagnostic files")
-    return run_outputs
+    return completed
 
 
 def run_experiments(experiments, partitions=None) -> list:
     """The repeated-seeds protocol behind every reported number, for each
     ``(config, hyperparams)`` pair of ``experiments`` (``None``
     hyperparameters read as ``{}``), each on ``partitions`` when given, else
-    on its config's data; returns each experiment's run outputs, in order.
+    on its config's data; returns, per experiment in order, the final
+    parameters of its completed runs keyed by run index. The records are in
+    the run files only.
 
     Every config and its hyperparameters are checked before any partition
     loads. Each experiment is then prepared here: streams with more than five
     tasks drop the two tuning tasks from the final phase; shorter streams keep
     them and fold their validation data into training. Class weights come
-    from the first two tasks' training labels once, before any exclusion.
+    from the first two tasks' training labels once, before any exclusion, and
+    the leakage audit reads the final partitions once, before any run trains.
     The runs of every experiment are independent seeded units, and all of
     them train through one ``_map_units`` call, so on several CPUs in
     parallel, each in a forked process; the records do not depend on how
-    many. Each run writes one JSONL metric stream; a failed run leaves a
-    diagnostic file and the experiment keeps its remaining seeds. Either
-    replaces what an earlier invocation left for that run and is written
-    whole or not at all, and ``metadata.json``, written last, lists the runs
-    that ``report`` reads.
+    many. The unit that trains a run writes its JSONL metric stream; a failed
+    run leaves a diagnostic file and the experiment keeps its remaining
+    seeds. Either replaces what an earlier invocation left for that run and
+    is written whole or not at all, and ``metadata.json``, written here once
+    an experiment's runs have all ended, lists the runs that ``report``
+    reads.
 
     A failed experiment does not stop the others. Once all have ended, the
     first failure's error class is raised; of several experiments, it names
@@ -648,8 +637,13 @@ def run_experiments(experiments, partitions=None) -> list:
 
 
 def run_experiment(config: ExperimentConfig, hyperparams=None, partitions=None):
-    """``run_experiments`` for one experiment: its run outputs, or its error."""
-    return run_experiments([(config, hyperparams)], partitions)[0]
+    """``run_experiments`` for one experiment: a RunOutput per completed run,
+    in run order, its records read back from its run file, or its error."""
+    completed = run_experiments([(config, hyperparams)], partitions)[0]
+    out_dir = Path(config.output_dir)
+    return [RunOutput(run_idx, read_run_file(_run_paths(out_dir, run_idx)[0])[1],
+                      final_params=params)
+            for run_idx, params in completed.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +663,7 @@ def _read_experiment(exp_dir: Path):
     for entry in metadata["runs"]:
         if entry["status"] != "ok":
             continue
-        path = exp_dir / f"run_{entry['run']:02d}.jsonl"
+        path = _run_paths(exp_dir, entry["run"])[0]
         if not path.exists():
             raise ReportError(f"{exp_dir} lists run {entry['run']} as ok but has no {path.name}")
         header, runs[entry["run"]] = read_run_file(path)
@@ -684,13 +678,13 @@ def _read_experiment(exp_dir: Path):
     return metadata, runs
 
 
-def final_mean_balanced_accuracy(records, epochs_per_task):
-    """The seen-task mean test balanced accuracy at the last task's final
-    epoch; None when the records hold no such row."""
+def final_mean_balanced_accuracy(records, epochs_per_task, split="test"):
+    """The seen-task mean balanced accuracy on ``split`` at the last task's
+    final epoch; None when the records hold no such row."""
     last_trained = max(r["trained_task"] for r in records)
     for row in reversed(records):
         if (row["trained_task"] == last_trained and row["eval_task"] is None
-                and row["split"] == "test" and row["epoch"] == epochs_per_task - 1):
+                and row["split"] == split and row["epoch"] == epochs_per_task - 1):
             return row["metrics"]["balanced_accuracy"]
     return None
 

@@ -106,11 +106,6 @@ class TaskStream:
             raise ConfigurationError(f"unknown split {split!r}")
         return _read_only(data.features()), data.labels, data.patient_ids
 
-    def accesses_at_or_beyond(self, task_idx: int) -> int:
-        return sum(
-            count for (idx, _), count in self.access_counts.items() if idx >= task_idx
-        )
-
 
 # TrainerSettings field -> rule
 TRAINER_RULES = {"epochs_per_task": COUNT, "batch_size": COUNT,
@@ -133,7 +128,6 @@ class RunOutput:
     run_idx: int
     records: list = field(default_factory=list)
     epochs_run: dict = field(default_factory=dict)  # task_idx -> epoch count
-    consumed_patients: list = field(default_factory=list)
     final_params: np.ndarray | None = None
 
 
@@ -186,6 +180,8 @@ def run_single(
     on ``eval_splits``. Exactly settings.epochs_per_task epochs are spent on
     each task no matter what the strategy does. ``n_train_tasks`` caps how
     far into the stream training goes (the tuning loop stops after two).
+    The records, the epochs spent per task and the final parameters come
+    back in memory; writing them is the caller's part.
 
     Each step moves the parameters by ``step = lr * g`` (``lr * v`` with
     momentum, the velocity ``v`` running over the task gradient ``g`` only).
@@ -209,7 +205,7 @@ def run_single(
     needs_observe = type(strategy).per_step_observe is not Strategy.per_step_observe
 
     for task_idx in range(n_tasks):
-        task_x, task_y, task_pids = stream.get(task_idx, "train")
+        task_x, task_y, _ = stream.get(task_idx, "train")
         strategy.before_task(model, task_idx, task_x, task_y, buffer_rng)
         if strategy.wants_scratch_model(task_idx):
             fresh_seed = int(reinit_rng.integers(0, 2**31 - 1))
@@ -261,13 +257,5 @@ def run_single(
                 out.records.append(row)
             out.epochs_run[task_idx] = out.epochs_run.get(task_idx, 0) + 1
         strategy.after_task(model, task_idx, task_x, task_y, buffer_rng)
-        if "test" in eval_splits:
-            _, _, test_pids = stream.get(task_idx, "test")
-            test_set = set(test_pids.tolist())
-        else:
-            test_set = set()
-        out.consumed_patients.append(
-            {"task": task_idx, "train": set(task_pids.tolist()), "test": test_set}
-        )
     out.final_params = model.params.values.copy()
     return out

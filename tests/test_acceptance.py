@@ -22,7 +22,6 @@ import seqcl.strategies as cl
 from seqcl import harness
 from seqcl import metrics as mt
 from seqcl.datagen import HOSPITAL20_STREAM, SITES3_STREAM, conflicting_stream_profile
-from seqcl.metrics import bootstrap_ci
 from seqcl.models import ArchitectureSpec, build_model
 from seqcl.training import TaskStream, TrainerSettings, run_single
 
@@ -371,8 +370,13 @@ def test_06_forgetting_demonstration(tmp_path):
     results = harness.run_experiments(
         [(_experiment_config(profile, "site", strategy, tmp_path / strategy), None)
          for strategy in strategies])
-    drops = {strategy: float(np.mean([_task_drop(o.records, 0, 2, 40) for o in outs]))
-             for strategy, outs in zip(strategies, results)}
+    drops = {
+        strategy: float(np.mean([
+            _task_drop(harness.read_run_file(tmp_path / strategy / f"run_{k:02d}.jsonl")[1],
+                       0, 2, 40)
+            for k in completed]))
+        for strategy, completed in zip(strategies, results)
+    }
     elapsed = time.monotonic() - t0
     ok = (
         drops["naive"] >= 0.10
@@ -404,13 +408,12 @@ def test_07_many_task_degradation(tmp_path):
     )
 
     experiments = {"naive": None, "ewc": {"ewc_lambda": 10.0}, "replay": None}
-    results = harness.run_experiments(
+    harness.run_experiments(
         [(_experiment_config(profile, "hospital", strategy, tmp_path / strategy), hp)
          for strategy, hp in experiments.items()])
-    outcomes = {}
-    for strategy, outs in zip(experiments, results):
-        values = [harness.final_mean_forgetting(o.records, 40) for o in outs]
-        outcomes[strategy] = float(np.mean(values)), bootstrap_ci(values)
+    # report's rows: bootstrap_ci over the per-run final_mean_forgetting values
+    outcomes = {row["experiment"]: (row["final_forgetting_mean"], row["final_forgetting_ci"])
+                for row in harness.report(tmp_path)["experiments"]}
     elapsed = time.monotonic() - t0
     naive_ci = outcomes["naive"][1]
     ewc_ci = outcomes["ewc"][1]

@@ -1,8 +1,10 @@
 """Protocol-level tests: config handling, tuning audit, run persistence,
 determinism, reporting, sweeps, and the CLI wrapper."""
 
+import dataclasses
 import json
 import multiprocessing
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -398,17 +400,62 @@ class TestRunExperiment:
             harness.run_experiment(config, {"warmup": 3})
 
     def test_validation_data_merged_into_training_on_short_streams(
-        self, profile_path, tmp_path
+        self, profile_path, tmp_path, monkeypatch
     ):
         config = harness.config_from_dict(
             base_config(profile_path, tmp_path, n_runs=1, epochs_per_task=1)
         )
         partitions = harness.load_partitions(config)
-        results = harness.run_experiment(config, partitions=partitions)
-        consumed_train = results[0].consumed_patients[0]["train"]
+        trained_on = []
+
+        class SpyStream(TaskStream):  # one run: it trains in this process
+            def get(self, task_idx, split):
+                arrays = super().get(task_idx, split)
+                if (task_idx, split) == (0, "train"):
+                    trained_on.append(set(arrays[2].tolist()))
+                return arrays
+
+        monkeypatch.setattr(harness, "TaskStream", SpyStream)
+        harness.run_experiment(config, partitions=partitions)
         val_pids = set(partitions[0].val.patient_ids.tolist())
         assert val_pids
-        assert val_pids <= consumed_train
+        assert trained_on and all(val_pids <= pids for pids in trained_on)
+
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "pooled"])
+    def test_a_patient_in_train_and_test_fails_the_audit_before_any_run_trains(
+        self, profile_path, tmp_path, monkeypatch, cpus
+    ):
+        monkeypatch.setattr(harness, "run_single", _no_training)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        out = tmp_path / "out"
+        config = harness.config_from_dict(base_config(profile_path, out))
+        partitions = harness.load_partitions(config)
+        partitions[1] = dataclasses.replace(partitions[1], test=partitions[0].train)
+        with pytest.raises(DataError, match="appear in both consumed train and test"):
+            harness.run_experiment(config, partitions=partitions)
+        assert list(out.glob("run_*")) == []
+        assert not (out / "metadata.json").exists()
+
+    def test_a_run_unit_returns_no_records_to_the_caller(
+        self, profile_path, tmp_path, monkeypatch
+    ):
+        real = harness._run_one
+
+        def spy(unit):  # runs in a worker; what it returns crosses the pool
+            entry, final_params = returned = real(unit)
+            assert isinstance(final_params, np.ndarray)
+            assert len(pickle.dumps(entry)) < 1024, entry
+            return returned
+
+        monkeypatch.setattr(harness, "_run_one", spy)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        out = tmp_path / "out"
+        config = harness.config_from_dict(base_config(profile_path, out))
+        results = harness.run_experiment(config)
+        assert multiprocessing.active_children() == []
+        for run_idx, result in enumerate(results):
+            path = out / f"run_{run_idx:02d}.jsonl"
+            assert result.records == harness.read_run_file(path)[1]
 
     def test_long_streams_drop_the_tuning_tasks(self, tmp_path):
         profile = small_profile(n_domains=7, n_patients=210, key="hospital")
@@ -464,7 +511,8 @@ class TestRunExperiment:
 
         def unencodable(*args, **kwargs):
             out = real(*args, **kwargs)
-            out.records.insert(3, {"metrics": {1j}})  # json cannot encode it
+            if kwargs["run_idx"] == 0:
+                out.records.insert(3, {"metrics": {1j}})  # json cannot encode it
             return out
 
         monkeypatch.setattr(harness, "run_single", unencodable)
@@ -475,7 +523,13 @@ class TestRunExperiment:
         config = harness.config_from_dict(base_config(profile_path, out))
         with pytest.raises(TypeError, match="not JSON serializable"):
             harness.run_experiment(config)
-        assert sorted(p.name for p in out.iterdir()) == []
+        if cpus == 1:  # run 0's error stops the loop before run 1 trains
+            assert sorted(p.name for p in out.iterdir()) == []
+        else:  # run 1's worker wrote its own file, whole; no metadata.json lists it
+            assert sorted(p.name for p in out.iterdir()) == ["run_01.jsonl"]
+            header, records = harness.read_run_file(out / "run_01.jsonl")
+            assert header["run"] == 1 and len(records) == 2 * sum(
+                2 * (t + 2) for t in range(3))
 
     def test_all_runs_failing_is_an_error(self, profile_path, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
@@ -591,10 +645,10 @@ class TestTrainerIntegration:
             master_seed=0,
             run_idx=0,
         )
-        # per task: its training data, two epochs of test+train evaluation
-        # over the seen tasks, and its test patient ids
-        assert sum(stream.access_counts.values()) == sum(2 + 2 * 2 * (t + 1) for t in range(3))
-        assert stream.access_counts[(0, "test")] == 2 * 3 + 1
+        # per task: its training data and two epochs of test+train evaluation
+        # over the seen tasks
+        assert sum(stream.access_counts.values()) == sum(1 + 2 * 2 * (t + 1) for t in range(3))
+        assert stream.access_counts[(0, "test")] == 2 * 3
         tuned = harness.tune(config, partitions=partitions)
         assert tuned["audit_accesses_beyond_first_two"] == 0
 
