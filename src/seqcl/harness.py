@@ -9,6 +9,7 @@ command-line layer in ``cli`` is a thin shell over these functions.
 """
 
 import collections
+import contextlib
 import csv
 import ctypes
 import functools
@@ -51,6 +52,8 @@ from .training import (
     TaskStream,
     TrainerSettings,
     compute_class_weights,
+    evaluate_in_process,
+    evaluate_seen_tasks,
     run_single,
 )
 
@@ -238,10 +241,9 @@ def _usable_cpus() -> int:
 _forked_job = None  # (fn, units), set only inside _map_units' workers by their initializer
 
 
-def _adopt_job(fn, units):
-    global _forked_job
-    _forked_job = (fn, units)
-    try:  # one BLAS thread, not the parent's pool, where numpy's OpenBLAS allows it
+def _one_blas_thread():
+    """Set this process's BLAS to one thread, where numpy's OpenBLAS allows it."""
+    try:
         from numpy._core import _multiarray_umath
 
         set_threads = ctypes.CDLL(_multiarray_umath.__file__).scipy_openblas_set_num_threads64_
@@ -251,16 +253,38 @@ def _adopt_job(fn, units):
     set_threads(1)
 
 
+def _adopt_job(fn, units):
+    global _forked_job
+    _forked_job = (fn, units)
+    _one_blas_thread()  # not the parent's thread pool
+
+
 def _run_forked(index):
     fn, units = _forked_job
     return fn(units[index])
 
 
+def _can_fork() -> bool:
+    import multiprocessing
+
+    return "fork" in multiprocessing.get_all_start_methods()
+
+
+def _fork_pool(workers, initializer, initargs):
+    """A pool of ``workers`` processes forked from this one, each set up by
+    ``initializer(*initargs)``; the arguments reach it by fork, unpickled."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=initializer, initargs=initargs)
+
+
 def _map_units(fn, units) -> list:
     """``[fn(unit) for unit in units]``, in input order, on
     ``min(len(units), usable CPUs)`` forked worker processes; in this process
-    when that is one or when the platform cannot fork. No unit calls this
-    itself: callers flatten their work into one list of units instead.
+    when that is one or when the platform cannot fork. No worker starts a
+    process of its own: callers flatten their work into one list of units.
 
     ``fn`` and ``units`` reach the workers by fork, so neither is pickled:
     only the unit indices go out and the results come back. Each worker sets
@@ -270,21 +294,84 @@ def _map_units(fn, units) -> list:
     """
     units = list(units)
     workers = min(len(units), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
+    if workers < 2 or not _can_fork():
+        return [fn(unit) for unit in units]
+    pool = _fork_pool(workers, _adopt_job, (fn, units))
+    try:
+        return list(pool.map(_run_forked, range(len(units))))
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_adopt_job, initargs=(fn, units),
-            )
+def _serve_evaluations(conn, run_conn, build_model_fn, stream, class_weights, splits):
+    """The evaluation helper's life: ``(parameters, task index)`` messages in,
+    ``(True, rows)`` or ``(False, error)`` out, until the run closes its end
+    of the pipe."""
+    run_conn.close()  # the fork's copy of the run's end, or the run's close is no EOF
+    _one_blas_thread()
+    model = build_model_fn(0)  # any seed: every evaluation overwrites the parameters
+    try:
+        while True:
+            values, task_idx = conn.recv()
+            model.params.values[...] = values
             try:
-                return list(pool.map(_run_forked, range(len(units))))
-            finally:
-                pool.shutdown(wait=True, cancel_futures=True)
-    return [fn(unit) for unit in units]
+                reply = True, evaluate_seen_tasks(model, stream, task_idx, class_weights, splits)
+            except Exception as err:  # the run raises it
+                reply = False, err
+            conn.send(reply)
+    except (EOFError, OSError):  # the run has ended, or has stopped listening
+        return
+
+
+@contextlib.contextmanager
+def _evaluate_on_helper(build_model_fn, stream, class_weights, splits):
+    """The evaluation executor of a run that trains alone: one helper
+    process, forked with the run's model builder, stream, class weights and
+    splits, evaluates each submitted model's parameters on a model of its
+    own while the run trains on. At most one evaluation is in flight, since
+    the run collects each before it submits the next. A helper error raises
+    in the run with its own class and message; a helper that dies raises
+    ChildProcessError. The helper has exited when the run's ``with`` block
+    ends, by error or not. See ``training.evaluate_in_process`` for the
+    protocol."""
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    conn, helper_conn = fork.Pipe()
+    helper = fork.Process(target=_serve_evaluations,
+                          args=(helper_conn, conn, build_model_fn, stream, class_weights, splits))
+    helper.start()
+    helper_conn.close()
+
+    def collect():
+        try:
+            ok, value = conn.recv()
+        except EOFError:
+            helper.join()
+            raise ChildProcessError(
+                f"the evaluation helper exited with code {helper.exitcode}") from None
+        if not ok:
+            raise value
+        return value
+
+    def submit(model, task_idx):
+        conn.send((model.params.values, task_idx))  # pickled here: the model may train on
+        return collect
+
+    try:
+        yield submit
+    finally:
+        conn.close()
+        helper.join()
+
+
+def _evaluation_executor():
+    """``_evaluate_on_helper`` when this process trains a run alone, may use
+    another CPU and can fork; else ``evaluate_in_process``. A ``_map_units``
+    worker evaluates in process, so its pool never grows."""
+    if _forked_job is None and _usable_cpus() > 1 and _can_fork():
+        return _evaluate_on_helper
+    return evaluate_in_process
 
 
 def _train(config, hyperparams, stream, class_weights, run_idx, **kwargs):
@@ -471,10 +558,10 @@ def _write_atomic(path: Path, chunks) -> None:
     os.replace(tmp, path)
 
 
-def _caught(fn, *args):
-    """``fn(*args)``, or the SeqclError it raised."""
+def _caught(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or the SeqclError it raised."""
     try:
-        return fn(*args)
+        return fn(*args, **kwargs)
     except SeqclError as err:
         return err
 
@@ -502,9 +589,9 @@ def _prepare(config, hyperparams, partitions):
     out_dir.mkdir(parents=True, exist_ok=True)
     # metadata.json indexes the runs a report reads; it is rewritten at the end
     (out_dir / "metadata.json").unlink(missing_ok=True)
-    for run_idx in range(config.n_runs):  # a previous invocation's outcomes
-        for stale in _run_paths(out_dir, run_idx):
-            stale.unlink(missing_ok=True)
+    for pattern in ("run_*.jsonl", "run_*.failed.json", "run_*.tmp"):  # of any run count
+        for stale in out_dir.glob(pattern):
+            stale.unlink()
     return config, hyperparams, final_partitions, merge_val, class_weights
 
 
@@ -514,12 +601,20 @@ def _run_one(unit):
     a task stream of its own, its epoch count checked, its records or its
     diagnostic written to its run file. Returns ``(metadata.json entry, final
     parameters)``, the parameters None for a failed run, or the SeqclError of
-    a broken epoch count."""
+    a broken epoch count.
+
+    A run that trains in the calling process, not in a ``_map_units``
+    worker, is evaluated on a forked helper process when this process may
+    use more than one CPU (``_evaluation_executor``): the helper evaluates
+    each epoch on a forked copy of the run's stream while the next epoch
+    trains, and has exited before the run's outcome is known. The records
+    are the same either way."""
     (config, hyperparams, partitions, merge_val, class_weights), run_idx = unit
     path, failed_path = _run_paths(Path(config.output_dir), run_idx)
     stream = TaskStream(partitions, merge_val_into_train=merge_val)
     started = time.monotonic()
-    out = _caught(_train, config, hyperparams, stream, class_weights, run_idx)
+    out = _caught(_train, config, hyperparams, stream, class_weights, run_idx,
+                  evaluation=_evaluation_executor())
     entry = {"run": run_idx, "wall_clock_s": time.monotonic() - started}
     if isinstance(out, SeqclError):
         entry.update(status="failed", error=type(out).__name__, message=str(out))

@@ -8,6 +8,7 @@ untouched, which is what makes the zeroed-strength and unlimited-buffer
 equivalences bitwise.
 """
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,6 +158,24 @@ def evaluate_seen_tasks(model, stream, upto_task, class_weights, splits=("test",
     return rows
 
 
+@contextmanager
+def evaluate_in_process(build_model_fn, stream, class_weights, splits):
+    """The degenerate evaluation executor, and ``run_single``'s default.
+
+    An evaluation executor is a context manager called with the run's model
+    builder, task stream, class weights and evaluation splits. It yields
+    ``submit(model, task_idx)``, which takes the model as it stands after an
+    epoch and returns a callable giving that epoch's ``evaluate_seen_tasks``
+    rows, or raising its error. This one evaluates the live model at once, in
+    this process, so its errors raise from ``submit`` itself.
+    """
+    def submit(model, task_idx):
+        rows = evaluate_seen_tasks(model, stream, task_idx, class_weights, splits)
+        return lambda: rows
+
+    yield submit
+
+
 def _batches(n, batch_size, order):
     for start in range(0, n, batch_size):
         yield order[start : start + batch_size]
@@ -172,16 +191,24 @@ def run_single(
     run_idx: int,
     eval_splits=("test", "train"),
     n_train_tasks=None,
+    evaluation=evaluate_in_process,
 ) -> RunOutput:
     """Train one model over the task stream under one strategy.
 
     build_model_fn(seed) must return a fresh Model; the trainer draws the
-    init seed itself. Evaluation runs after every epoch on every seen task,
-    on ``eval_splits``. Exactly settings.epochs_per_task epochs are spent on
+    init seed itself. Exactly settings.epochs_per_task epochs are spent on
     each task no matter what the strategy does. ``n_train_tasks`` caps how
     far into the stream training goes (the tuning loop stops after two).
     The records, the epochs spent per task and the final parameters come
     back in memory; writing them is the caller's part.
+
+    Every seen task is evaluated on ``eval_splits`` after every epoch. The
+    model of each epoch is submitted to the ``evaluation`` executor (see
+    ``evaluate_in_process``) and training goes on; that epoch's rows are
+    collected once the next epoch has trained, then stamped and appended in
+    epoch order, so the records do not depend on the executor. An
+    evaluation error is the run's error wherever the in-process executor
+    would raise it: a later epoch's training error gives way to it.
 
     Each step moves the parameters by ``step = lr * g`` (``lr * v`` with
     momentum, the velocity ``v`` running over the task gradient ``g`` only).
@@ -204,58 +231,71 @@ def run_single(
     out = RunOutput(run_idx=run_idx)
     needs_observe = type(strategy).per_step_observe is not Strategy.per_step_observe
 
-    for task_idx in range(n_tasks):
-        task_x, task_y, _ = stream.get(task_idx, "train")
-        strategy.before_task(model, task_idx, task_x, task_y, buffer_rng)
-        if strategy.wants_scratch_model(task_idx):
-            fresh_seed = int(reinit_rng.integers(0, 2**31 - 1))
-            model = build_model_fn(fresh_seed)
-        train_x, train_y = strategy.training_data(task_x, task_y, task_idx)
-        n = train_y.shape[0]
-        velocity = None
-        anchor = strategy.anchor  # changes only at task ends
-        if anchor is not None:
-            lr_pull = settings.learning_rate * anchor.pull
-            denominator = 1.0 + settings.learning_rate * anchor.kappa
-        for epoch in range(settings.epochs_per_task):
-            order = shuffle_rng.permutation(n)
-            for batch_idx in _batches(n, settings.batch_size, order):
-                x = model.prepare_batch(train_x[batch_idx])
-                yb = train_y[batch_idx]
-                logits = model.graph.forward(model.params, x)
-                _, dlogits = model.graph.loss(yb, class_weights)
-                _, extra_dlogits = strategy.batch_loss(
-                    model, x, logits, yb, class_weights
-                )
-                if extra_dlogits is not None:
-                    dlogits = dlogits + extra_dlogits
-                grad = model.graph.backward_from_dlogits(dlogits)
-                grad = strategy.transform_gradient(
-                    grad, model, class_weights, memory_rng
-                )
-                if settings.momentum > 0.0:
-                    if velocity is None:
-                        velocity = np.zeros_like(grad)
-                    velocity = settings.momentum * velocity + grad
-                    step = settings.learning_rate * velocity
-                else:
-                    step = settings.learning_rate * grad
-                theta = model.params.values
-                if needs_observe:
-                    before = theta.copy()
-                theta -= step
-                if anchor is not None:  # the proximal step, in place
-                    theta += lr_pull
-                    theta /= denominator
-                if needs_observe:
-                    strategy.per_step_observe(grad, theta - before)
-            for row in evaluate_seen_tasks(
-                model, stream, task_idx, class_weights, splits=eval_splits
-            ):
-                row.update(run=run_idx, trained_task=task_idx,
-                           trained_task_name=stream.task_name(task_idx), epoch=epoch)
-                out.records.append(row)
-            out.epochs_run[task_idx] = out.epochs_run.get(task_idx, 0) + 1
-        strategy.after_task(model, task_idx, task_x, task_y, buffer_rng)
+    def append_rows(task_idx, epoch, collect):
+        for row in collect():
+            row.update(run=run_idx, trained_task=task_idx,
+                       trained_task_name=stream.task_name(task_idx), epoch=epoch)
+            out.records.append(row)
+
+    with evaluation(build_model_fn, stream, class_weights, eval_splits) as submit:
+        pending = None  # (task_idx, epoch, collect) of the epoch being evaluated
+        try:
+            for task_idx in range(n_tasks):
+                task_x, task_y, _ = stream.get(task_idx, "train")
+                strategy.before_task(model, task_idx, task_x, task_y, buffer_rng)
+                if strategy.wants_scratch_model(task_idx):
+                    fresh_seed = int(reinit_rng.integers(0, 2**31 - 1))
+                    model = build_model_fn(fresh_seed)
+                train_x, train_y = strategy.training_data(task_x, task_y, task_idx)
+                n = train_y.shape[0]
+                velocity = None
+                anchor = strategy.anchor  # changes only at task ends
+                if anchor is not None:
+                    lr_pull = settings.learning_rate * anchor.pull
+                    denominator = 1.0 + settings.learning_rate * anchor.kappa
+                for epoch in range(settings.epochs_per_task):
+                    order = shuffle_rng.permutation(n)
+                    for batch_idx in _batches(n, settings.batch_size, order):
+                        x = model.prepare_batch(train_x[batch_idx])
+                        yb = train_y[batch_idx]
+                        logits = model.graph.forward(model.params, x)
+                        _, dlogits = model.graph.loss(yb, class_weights)
+                        _, extra_dlogits = strategy.batch_loss(
+                            model, x, logits, yb, class_weights
+                        )
+                        if extra_dlogits is not None:
+                            dlogits = dlogits + extra_dlogits
+                        grad = model.graph.backward_from_dlogits(dlogits)
+                        grad = strategy.transform_gradient(
+                            grad, model, class_weights, memory_rng
+                        )
+                        if settings.momentum > 0.0:
+                            if velocity is None:
+                                velocity = np.zeros_like(grad)
+                            velocity = settings.momentum * velocity + grad
+                            step = settings.learning_rate * velocity
+                        else:
+                            step = settings.learning_rate * grad
+                        theta = model.params.values
+                        if needs_observe:
+                            before = theta.copy()
+                        theta -= step
+                        if anchor is not None:  # the proximal step, in place
+                            theta += lr_pull
+                            theta /= denominator
+                        if needs_observe:
+                            strategy.per_step_observe(grad, theta - before)
+                    if pending is not None:
+                        previous, pending = pending, None
+                        append_rows(*previous)
+                    pending = (task_idx, epoch, submit(model, task_idx))
+                    out.epochs_run[task_idx] = out.epochs_run.get(task_idx, 0) + 1
+                strategy.after_task(model, task_idx, task_x, task_y, buffer_rng)
+        except Exception:
+            if pending is not None:  # in process, its error came before this one
+                pending[2]()
+            raise
+        if pending is not None:
+            append_rows(*pending)
     out.final_params = model.params.values.copy()
     return out

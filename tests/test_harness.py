@@ -557,6 +557,17 @@ class TestRunExperiment:
         harness.run_experiment(config, {})
         assert sorted(p.name for p in out.glob("run_*")) == ["run_00.jsonl", "run_01.jsonl"]
 
+    def test_a_rerun_with_fewer_runs_leaves_no_stale_run_file(self, profile_path, tmp_path):
+        out = tmp_path / "out"
+        harness.run_experiment(harness.config_from_dict(
+            base_config(profile_path, out, n_runs=3, epochs_per_task=1)))
+        for leftover in ("run_04.failed.json", "run_05.jsonl.tmp", "run_06.failed.json.tmp"):
+            (out / leftover).write_text("an earlier invocation's file\n")
+        harness.run_experiment(harness.config_from_dict(
+            base_config(profile_path, out, n_runs=2, epochs_per_task=1)))
+        assert sorted(p.name for p in out.glob("run_*")) == ["run_00.jsonl", "run_01.jsonl"]
+        assert harness.report(out)["experiments"][0]["n_runs"] == 2
+
     def test_unlimited_replay_matches_cumulative_record_for_record(
         self, profile_path, tmp_path
     ):
