@@ -270,16 +270,6 @@ def _can_fork() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _fork_pool(workers, initializer, initargs):
-    """A pool of ``workers`` processes forked from this one, each set up by
-    ``initializer(*initargs)``; the arguments reach it by fork, unpickled."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=initializer, initargs=initargs)
-
-
 def _map_units(fn, units) -> list:
     """``[fn(unit) for unit in units]``, in input order, on
     ``min(len(units), usable CPUs)`` forked worker processes; in this process
@@ -294,20 +284,26 @@ def _map_units(fn, units) -> list:
     """
     units = list(units)
     workers = min(len(units), _usable_cpus())
-    if workers < 2 or not _can_fork():
-        return [fn(unit) for unit in units]
-    pool = _fork_pool(workers, _adopt_job, (fn, units))
-    try:
-        return list(pool.map(_run_forked, range(len(units))))
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    if workers > 1 and _can_fork():
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_job, initargs=(fn, units),
+        )
+        try:
+            return list(pool.map(_run_forked, range(len(units))))
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return [fn(unit) for unit in units]
 
 
 def _serve_evaluations(conn, run_conn, build_model_fn, stream, class_weights, splits):
     """The evaluation helper's life: ``(parameters, task index)`` messages in,
     ``(True, rows)`` or ``(False, error)`` out, until the run closes its end
     of the pipe."""
-    run_conn.close()  # the fork's copy of the run's end, or the run's close is no EOF
+    run_conn.close()  # this fork's copy, so that the run's close is an EOF here
     _one_blas_thread()
     model = build_model_fn(0)  # any seed: every evaluation overwrites the parameters
     try:
@@ -591,7 +587,7 @@ def _prepare(config, hyperparams, partitions):
     (out_dir / "metadata.json").unlink(missing_ok=True)
     for pattern in ("run_*.jsonl", "run_*.failed.json", "run_*.tmp"):  # of any run count
         for stale in out_dir.glob(pattern):
-            stale.unlink()
+            stale.unlink(missing_ok=True)
     return config, hyperparams, final_partitions, merge_val, class_weights
 
 

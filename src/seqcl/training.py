@@ -292,7 +292,7 @@ def run_single(
                     out.epochs_run[task_idx] = out.epochs_run.get(task_idx, 0) + 1
                 strategy.after_task(model, task_idx, task_x, task_y, buffer_rng)
         except Exception:
-            if pending is not None:  # in process, its error came before this one
+            if pending is not None:  # evaluated in process, it would have raised first
                 pending[2]()
             raise
         if pending is not None:
