@@ -361,15 +361,6 @@ def _evaluate_on_helper(build_model_fn, stream, class_weights, splits):
         helper.join()
 
 
-def _evaluation_executor():
-    """``_evaluate_on_helper`` when this process trains a run alone, may use
-    another CPU and can fork; else ``evaluate_in_process``. A ``_map_units``
-    worker evaluates in process, so its pool never grows."""
-    if _forked_job is None and _usable_cpus() > 1 and _can_fork():
-        return _evaluate_on_helper
-    return evaluate_in_process
-
-
 def _train(config, hyperparams, stream, class_weights, run_idx, **kwargs):
     """``run_single`` of the config's model and strategy under
     ``hyperparams`` on ``stream``, with the config's trainer settings and
@@ -600,17 +591,19 @@ def _run_one(unit):
     a broken epoch count.
 
     A run that trains in the calling process, not in a ``_map_units``
-    worker, is evaluated on a forked helper process when this process may
-    use more than one CPU (``_evaluation_executor``): the helper evaluates
-    each epoch on a forked copy of the run's stream while the next epoch
-    trains, and has exited before the run's outcome is known. The records
-    are the same either way."""
+    worker, is evaluated on a forked helper process (``_evaluate_on_helper``)
+    when this process may use more than one CPU and can fork: the helper
+    evaluates each epoch on a forked copy of the run's stream while the next
+    epoch trains, and has exited before the run's outcome is known. A pool
+    worker evaluates in process, so the pool never grows. The records are
+    the same either way."""
     (config, hyperparams, partitions, merge_val, class_weights), run_idx = unit
     path, failed_path = _run_paths(Path(config.output_dir), run_idx)
     stream = TaskStream(partitions, merge_val_into_train=merge_val)
+    alone = _forked_job is None and _usable_cpus() > 1 and _can_fork()
     started = time.monotonic()
     out = _caught(_train, config, hyperparams, stream, class_weights, run_idx,
-                  evaluation=_evaluation_executor())
+                  evaluation=_evaluate_on_helper if alone else evaluate_in_process)
     entry = {"run": run_idx, "wall_clock_s": time.monotonic() - started}
     if isinstance(out, SeqclError):
         entry.update(status="failed", error=type(out).__name__, message=str(out))
